@@ -1,13 +1,11 @@
 //! Micro-benchmarks of the deviation metrics (every `DistanceKind` over
 //! distributions of increasing width) and of the engine's scan→aggregate
-//! hot path (scalar vs vectorized execution modes on both store layouts).
+//! hot path on both store layouts).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use seedb_bench::BENCH_SEED;
 use seedb_data::syn::{syn, SynConfig};
-use seedb_engine::{
-    execute_combined_with_mode, AggFunc, AggSpec, CombinedQuery, ExecMode, ExecStats, SplitSpec,
-};
+use seedb_engine::{execute_combined, AggFunc, AggSpec, CombinedQuery, ExecStats, SplitSpec};
 use seedb_metrics::{normalize, DistanceKind};
 use seedb_storage::StoreKind;
 
@@ -47,9 +45,9 @@ fn normalize_micro(c: &mut Criterion) {
 }
 
 /// The scan→aggregate hot path: one single-dimension grouped AVG with a
-/// target/reference split — the query shape SeeDB issues per view — under
-/// both engine modes. The vectorized mode's dense dictionary-direct path
-/// should show its largest advantage on the column store.
+/// target/reference split — the query shape SeeDB issues per view — on
+/// both store layouts (zero-copy column batches vs materialized row-store
+/// batches).
 fn scan_aggregate_micro(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan_aggregate");
     group.sample_size(15);
@@ -72,23 +70,16 @@ fn scan_aggregate_micro(c: &mut Criterion) {
             filter: None,
             split: SplitSpec::TargetVsAll(dataset.target.clone()),
         };
-        for mode in ExecMode::ALL {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{}_{}", kind.label(), mode.label()), dataset.rows()),
-                &query,
-                |b, query| {
-                    b.iter(|| {
-                        let mut stats = ExecStats::new();
-                        execute_combined_with_mode(
-                            dataset.table.as_ref(),
-                            black_box(query),
-                            mode,
-                            &mut stats,
-                        )
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new(kind.label(), dataset.rows()),
+            &query,
+            |b, query| {
+                b.iter(|| {
+                    let mut stats = ExecStats::new();
+                    execute_combined(dataset.table.as_ref(), black_box(query), &mut stats)
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -129,7 +120,7 @@ fn morsel_scan_aggregate(c: &mut Criterion) {
                         dataset.table.as_ref(),
                         std::slice::from_ref(black_box(query)),
                         0..dataset.rows(),
-                        seedb_engine::ScanShape::new(ExecMode::Vectorized, DEFAULT_MORSEL_ROWS),
+                        seedb_engine::ScanShape::new(DEFAULT_MORSEL_ROWS),
                         &seedb_engine::CancelToken::none(),
                     )
                 })

@@ -10,14 +10,14 @@ use std::path::Path;
 
 use seedb_bench::{bench_dataset, recommend, time_ms, time_ms_prewarmed, BENCH_SEED};
 use seedb_core::{
-    accuracy_at_k, utility_distance, ExecMode, ExecutionStrategy, GroupingPolicy, Knob,
-    PruningKind, Recommendation, SeeDbConfig, SharingConfig,
+    accuracy_at_k, utility_distance, ExecutionStrategy, GroupingPolicy, Knob, PruningKind,
+    Recommendation, SeeDbConfig, SharingConfig,
 };
 use seedb_data::syn::{syn, SynConfig};
 use seedb_data::Dataset;
 use seedb_engine::{
-    execute_combined_with_mode, execute_morsels, with_pool, AggFunc, AggSpec, CmpOp, CombinedQuery,
-    ExecStats, Predicate, ScanShape, SplitSpec,
+    execute_morsels, with_pool, AggFunc, AggSpec, CmpOp, CombinedQuery, Predicate, ScanShape,
+    SplitSpec,
 };
 use seedb_storage::{ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 use seedb_util::Json;
@@ -48,7 +48,6 @@ fn main() {
     emit(out, "fig8_groupby", fig8(runs, scale));
     emit(out, "fig9_all_sharing", fig9(runs, scale));
     emit(out, "fig11_pruning", fig11(runs, scale));
-    emit(out, "engine_modes", engine_modes(runs, scale));
     emit(out, "morsels", morsels(runs, scale));
     emit(out, "partitions", partitions(runs, scale));
     emit(out, "planner", planner(runs, scale));
@@ -105,7 +104,6 @@ fn measured_from(
         recommend(dataset, config);
     });
     Json::from(timing)
-        .set("engine_mode", config.engine_mode.label())
         .set("parallelism", parallelism_tag(config.sharing.parallelism))
         .set("morsel_rows", morsel_tag(config.sharing.morsel_rows))
         .set("queries_issued", rec.stats.queries_issued)
@@ -264,80 +262,6 @@ fn fig9(runs: usize, scale: usize) -> Vec<Json> {
     results
 }
 
-/// Scalar vs vectorized engine mode: the raw single-dimension column-store
-/// scan→aggregate hot path, plus end-to-end recommendation runs. Every
-/// entry is tagged with its engine mode; the micro sweep also records the
-/// vectorized speedup over scalar.
-fn engine_modes(runs: usize, scale: usize) -> Vec<Json> {
-    let mut results = Vec::new();
-
-    // (a) Raw engine hot path: one single-dimension grouped aggregation
-    // over the column store (the dense dictionary-direct case).
-    let syn_cfg = SynConfig {
-        rows: 100_000 / scale,
-        dims: 4,
-        measures: 2,
-        distinct: Some(10),
-        seed: BENCH_SEED,
-    };
-    let dataset = syn(&syn_cfg, StoreKind::Column);
-    let dim = dataset.table.schema().dimensions()[0];
-    let measure = dataset.table.schema().measures()[0];
-    let query = CombinedQuery {
-        group_by: vec![dim],
-        aggregates: vec![AggSpec::new(AggFunc::Avg, measure)],
-        filter: None,
-        split: SplitSpec::TargetVsAll(dataset.target.clone()),
-    };
-    let mut means = Vec::new();
-    for mode in ExecMode::ALL {
-        let timing = time_ms(runs.max(3), || {
-            let mut stats = ExecStats::new();
-            std::hint::black_box(execute_combined_with_mode(
-                dataset.table.as_ref(),
-                &query,
-                mode,
-                &mut stats,
-            ));
-        });
-        means.push(timing.mean_ms);
-        results.push(
-            Json::obj()
-                .set("sweep", "scan_aggregate_micro")
-                .set("dataset", dataset.name.as_str())
-                .set("rows", dataset.rows())
-                .set("store", "COL")
-                .set("engine_mode", mode.label())
-                .set("timing", timing),
-        );
-    }
-    results.push(
-        Json::obj()
-            .set("sweep", "scan_aggregate_micro")
-            .set("dataset", dataset.name.as_str())
-            .set("vectorized_speedup", means[0] / means[1]),
-    );
-
-    // (b) End-to-end recommendation latency per mode.
-    for (name, rows) in [("BANK", 4_000), ("CENSUS", 4_200)] {
-        let ds = bench_dataset(name, rows / scale, StoreKind::Column);
-        for mode in ExecMode::ALL {
-            let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-            cfg.sharing.parallelism = Knob::Fixed(1);
-            cfg.engine_mode = mode;
-            results.push(
-                Json::obj()
-                    .set("sweep", "recommend_end_to_end")
-                    .set("dataset", name)
-                    .set("rows", ds.rows())
-                    .set("engine_mode", mode.label())
-                    .set("timing", measured(&ds, &cfg, runs)),
-            );
-        }
-    }
-    results
-}
-
 /// Morsel-driven intra-query parallelism on the all-sharing configuration
 /// (combine aggregates + group-bys + target/reference — the Fig 9 winner,
 /// which collapses to a handful of bin-packed clusters and therefore gains
@@ -483,7 +407,7 @@ fn partitions(runs: usize, scale: usize) -> Vec<Json> {
                         table.as_ref(),
                         std::slice::from_ref(&query),
                         0..table.num_rows(),
-                        ScanShape::new(ExecMode::Vectorized, partition_rows),
+                        ScanShape::new(partition_rows),
                         &seedb_engine::CancelToken::none(),
                     )
                 };

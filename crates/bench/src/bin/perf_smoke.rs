@@ -308,10 +308,10 @@ fn collect_entries(dir: &Path) -> Vec<Entry> {
 
 /// Builds a stable identity for one result: the figure name plus every
 /// identifying field the figure runners emit (dataset, strategy, store,
-/// engine mode, row count) that is present on the entry.
+/// sweep, row count) that is present on the entry.
 fn entry_key(figure: &str, result: &Json) -> String {
     let mut parts = vec![figure.to_owned()];
-    for field in ["dataset", "strategy", "store", "sweep", "engine_mode"] {
+    for field in ["dataset", "strategy", "store", "sweep"] {
         if let Some(v) = result.get(field).and_then(Json::as_str) {
             parts.push(format!("{field}={v}"));
         }

@@ -2,7 +2,7 @@
 //! pruning scheme, phases.
 
 use crate::error::CoreError;
-use seedb_engine::{AggFunc, ExecMode};
+use seedb_engine::AggFunc;
 use seedb_metrics::DistanceKind;
 use seedb_storage::StoreKind;
 
@@ -234,10 +234,6 @@ pub struct SeeDbConfig {
     pub delta: f64,
     /// Sharing knobs.
     pub sharing: SharingConfig,
-    /// How the engine walks the table: batched (vectorized, the default)
-    /// or row-at-a-time (scalar). Both produce bit-identical results; the
-    /// scalar path is kept as the equivalence oracle and for debugging.
-    pub engine_mode: ExecMode,
     /// RNG seed (used by `RANDOM` pruning only).
     pub seed: u64,
 }
@@ -253,7 +249,6 @@ impl Default for SeeDbConfig {
             num_phases: 10,
             delta: 0.05,
             sharing: SharingConfig::default(),
-            engine_mode: ExecMode::default(),
             seed: 0,
         }
     }
@@ -303,7 +298,6 @@ mod tests {
         assert_eq!(cfg.metric, DistanceKind::Emd);
         assert_eq!(cfg.num_phases, 10);
         assert_eq!(cfg.agg_functions, vec![AggFunc::Avg]);
-        assert_eq!(cfg.engine_mode, ExecMode::Vectorized);
         // Shape knobs default to planner-resolved so serialized configs
         // carry no host-specific values.
         assert_eq!(cfg.sharing.parallelism, Knob::Auto);

@@ -21,16 +21,16 @@
 use crate::cache::CachedPartial;
 use crate::config::{ExecutionStrategy, PruningKind, SeeDbConfig};
 use crate::phase::phase_ranges;
-use crate::plan::PhysicalPlan;
+use crate::plan::{build_clusters, Cluster, PhysicalPlan};
 use crate::pruning::{make_pruner, ViewEstimate};
 use crate::reference::ReferenceSpec;
 use crate::state::{Side, ViewState};
 use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
-    binpack, execute_morsels_traced, rollup, with_pool, AggSpec, CancelToken, CombinedQuery,
-    ExecStats, GroupedResult, Pool, Predicate, SplitSpec, TraceCtx,
+    execute_morsels_traced, rollup, with_pool, AggSpec, CancelToken, CombinedQuery, ExecStats,
+    GroupedResult, Pool, Predicate, SplitSpec, TraceCtx,
 };
-use seedb_storage::{ColumnId, Table};
+use seedb_storage::Table;
 use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -120,16 +120,6 @@ impl ExecutionReport {
         }
         top
     }
-}
-
-/// One shared query cluster: a set of views answered by a single combined
-/// query.
-struct Cluster {
-    group_by: Vec<ColumnId>,
-    aggregates: Vec<AggSpec>,
-    /// `(view id, aggregate index within this cluster, dim position within
-    /// group_by)` for each member view.
-    members: Vec<(ViewId, usize, usize)>,
 }
 
 /// Strategy-driven executor over one table.
@@ -464,7 +454,7 @@ impl<'a> Executor<'a> {
                 break;
             }
             let live: Vec<&ViewSpec> = scanning.iter().collect();
-            let clusters = self.build_clusters(&live);
+            let clusters = build_clusters(self.table, &self.config.sharing, &live);
 
             // Execute this phase's clusters: every cluster query is split
             // into morsels and all `(cluster, morsel)` work items share the
@@ -635,83 +625,6 @@ impl<'a> Executor<'a> {
             total_phases,
         }
     }
-
-    /// Builds this phase's query clusters from the live views, applying the
-    /// combine-aggregates, nagg-cap, and combine-group-bys knobs.
-    fn build_clusters(&self, live: &[&ViewSpec]) -> Vec<Cluster> {
-        let sharing = &self.config.sharing;
-
-        if !sharing.combine_aggregates {
-            // One cluster per view: the unshared (but possibly parallel and
-            // split-combined) shape.
-            return live
-                .iter()
-                .map(|v| Cluster {
-                    group_by: vec![v.dim],
-                    aggregates: vec![AggSpec::new(v.func, v.measure)],
-                    members: vec![(v.id, 0, 0)],
-                })
-                .collect();
-        }
-
-        // Group views by dimension, preserving first-seen dim order.
-        let mut dims: Vec<ColumnId> = Vec::new();
-        let mut per_dim: Vec<Vec<&ViewSpec>> = Vec::new();
-        for v in live {
-            match dims.iter().position(|&d| d == v.dim) {
-                Some(i) => per_dim[i].push(v),
-                None => {
-                    dims.push(v.dim);
-                    per_dim.push(vec![v]);
-                }
-            }
-        }
-
-        // Optionally combine dimensions into shared multi-GB clusters.
-        let bins: Vec<Vec<ColumnId>> = if sharing.combine_group_bys && dims.len() > 1 {
-            match sharing.grouping_policy {
-                crate::config::GroupingPolicy::BinPack => {
-                    let budget = sharing.effective_budget(self.table.kind());
-                    binpack::first_fit(self.table, &dims, budget).bins
-                }
-                crate::config::GroupingPolicy::MaxGb(n) => {
-                    dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect()
-                }
-            }
-        } else {
-            dims.iter().map(|&d| vec![d]).collect()
-        };
-
-        let nagg_cap = sharing
-            .max_aggregates_per_query
-            .unwrap_or(usize::MAX)
-            .max(1);
-        let mut clusters = Vec::new();
-        for bin in bins {
-            // Views of every dim in this bin share one (chunked) cluster.
-            let mut pending: Vec<(ViewId, AggSpec, usize)> = Vec::new();
-            for (dim_pos, dim) in bin.iter().enumerate() {
-                let dim_idx = dims.iter().position(|d| d == dim).unwrap();
-                for v in &per_dim[dim_idx] {
-                    pending.push((v.id, AggSpec::new(v.func, v.measure), dim_pos));
-                }
-            }
-            for chunk in pending.chunks(nagg_cap) {
-                let mut aggregates = Vec::with_capacity(chunk.len());
-                let mut members = Vec::with_capacity(chunk.len());
-                for (view_id, agg, dim_pos) in chunk {
-                    members.push((*view_id, aggregates.len(), *dim_pos));
-                    aggregates.push(*agg);
-                }
-                clusters.push(Cluster {
-                    group_by: bin.clone(),
-                    aggregates,
-                    members,
-                });
-            }
-        }
-        clusters
-    }
 }
 
 /// A cluster's results rolled up to one of its dimensions. Single-dim
@@ -757,7 +670,7 @@ mod tests {
     use crate::config::{Knob, SharingConfig};
     use crate::view::enumerate_views;
     use seedb_engine::AggFunc;
-    use seedb_metrics::DistanceKind;
+    use seedb_metrics::{normalize, DistanceKind};
     use seedb_storage::{BoxedTable, ColumnDef, StoreKind, TableBuilder, Value};
 
     /// 3 dims × 2 measures, with dim "d0" strongly deviating for the target.
@@ -872,39 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_on_utilities_without_pruning() {
-        let (no_opt, ..) = run_with(
-            ExecutionStrategy::NoOpt,
-            SharingConfig::none(),
-            PruningKind::None,
-            StoreKind::Column,
-        );
-        for combine_gb in [false, true] {
-            for parallelism in [1, 4] {
-                let (shared, ..) = run_with(
-                    ExecutionStrategy::Sharing,
-                    SharingConfig {
-                        parallelism: Knob::Fixed(parallelism),
-                        combine_group_bys: combine_gb,
-                        memory_budget: Some(10_000),
-                        ..Default::default()
-                    },
-                    PruningKind::None,
-                    StoreKind::Column,
-                );
-                let a = utilities(&no_opt);
-                let b = utilities(&shared);
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert!(
-                        (x - y).abs() < 1e-9,
-                        "view {i}: NO_OPT {x} vs SHARING(gb={combine_gb},par={parallelism}) {y}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn separate_target_reference_execution_matches_combined() {
         let (combined, ..) = run_with(
             ExecutionStrategy::Sharing,
@@ -1011,33 +891,6 @@ mod tests {
         let top = early.top_k(cfg.k, cfg.metric);
         assert_eq!(top.len(), cfg.k);
         assert!(early.phases_executed <= cfg.num_phases);
-    }
-
-    #[test]
-    fn row_store_and_column_store_agree() {
-        let (row, ..) = run_with(
-            ExecutionStrategy::Sharing,
-            SharingConfig {
-                parallelism: Knob::Fixed(1),
-                ..Default::default()
-            },
-            PruningKind::None,
-            StoreKind::Row,
-        );
-        let (col, ..) = run_with(
-            ExecutionStrategy::Sharing,
-            SharingConfig {
-                parallelism: Knob::Fixed(1),
-                ..Default::default()
-            },
-            PruningKind::None,
-            StoreKind::Column,
-        );
-        let a = utilities(&row);
-        let b = utilities(&col);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -1194,27 +1047,60 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scalar_and_vectorized_modes_agree_bit_for_bit() {
-        for kind in [StoreKind::Row, StoreKind::Column] {
-            for strategy in [ExecutionStrategy::NoOpt, ExecutionStrategy::Sharing] {
-                let table = test_table(kind);
-                let mut per_mode: Vec<Vec<f64>> = Vec::new();
-                for mode in seedb_engine::ExecMode::ALL {
-                    let mut cfg = SeeDbConfig::for_strategy(strategy);
-                    cfg.sharing.parallelism = Knob::Fixed(1);
-                    cfg.k = 3;
-                    cfg.num_phases = 5;
-                    cfg.engine_mode = mode;
-                    let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
-                    let exec = Executor::new(table.as_ref(), &cfg);
-                    let report =
-                        exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
-                    per_mode.push(utilities(&report));
+    /// Every view's full-table utility under the naive reference.
+    fn reference_utilities(
+        table: &dyn Table,
+        views: &[ViewSpec],
+        target: &Predicate,
+        metric: DistanceKind,
+    ) -> Vec<f64> {
+        views
+            .iter()
+            .map(|v| {
+                let split = ReferenceSpec::WholeTable.to_split(target.clone());
+                let (t, r) = crate::naive::view_vectors(table, v.dim, v.func, v.measure, split);
+                if t.is_empty() {
+                    0.0
+                } else {
+                    metric.compute(&normalize(&t), &normalize(&r))
                 }
-                // Bit-identical, not approximately equal: both modes consume
-                // rows in the same order.
-                assert_eq!(per_mode[0], per_mode[1], "{kind} {strategy}");
+            })
+            .collect()
+    }
+
+    /// Bit-for-bit equality of utility vectors (any NaN equals any NaN).
+    fn assert_same_bits(want: &[f64], got: &[f64], label: &str) {
+        assert_eq!(want.len(), got.len(), "{label}");
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{label}: view {i}: want {a}, got {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn utilities_match_naive_reference_bit_for_bit() {
+        for kind in [StoreKind::Row, StoreKind::Column] {
+            let table = test_table(kind);
+            let target = target(table.as_ref());
+            let views = enumerate_views(table.as_ref(), &[AggFunc::Avg]);
+            let want = reference_utilities(table.as_ref(), &views, &target, DistanceKind::Emd);
+            for (strategy, combine_gb) in [
+                (ExecutionStrategy::NoOpt, false),
+                (ExecutionStrategy::Sharing, false),
+                (ExecutionStrategy::Sharing, true),
+            ] {
+                let mut cfg = SeeDbConfig::for_strategy(strategy);
+                cfg.sharing.parallelism = Knob::Fixed(1);
+                cfg.sharing.combine_group_bys = combine_gb;
+                let report = Executor::new(table.as_ref(), &cfg).run(
+                    &views,
+                    &target,
+                    &ReferenceSpec::WholeTable,
+                );
+                let label = format!("{kind} {strategy} gb={combine_gb}");
+                assert_same_bits(&want, &utilities(&report), &label);
             }
         }
     }
@@ -1222,34 +1108,102 @@ mod tests {
     #[test]
     fn utilities_bit_identical_across_parallelism_and_morsels() {
         // The morsel-driven executor promises *bit-identical* utilities for
-        // every (worker count, morsel size, store layout, engine mode)
-        // combination — the all-sharing configuration exercises the
-        // composite dense index (vectorized) and the hash path (scalar).
+        // every (worker count, morsel size, store layout) combination — the
+        // all-sharing configuration exercises the composite dense index
+        // and the rollup.
         for kind in [StoreKind::Row, StoreKind::Column] {
-            let mut baseline: Option<Vec<f64>> = None;
-            for mode in seedb_engine::ExecMode::ALL {
-                for parallelism in [1usize, 2, 8] {
-                    for morsel_rows in [1usize, 7, 1024, usize::MAX] {
-                        let table = test_table(kind);
-                        let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
-                        cfg.sharing.parallelism = Knob::Fixed(parallelism);
-                        cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
-                        cfg.sharing.memory_budget = Some(1_000_000);
-                        cfg.engine_mode = mode;
-                        let views = enumerate_views(table.as_ref(), &cfg.agg_functions);
-                        let exec = Executor::new(table.as_ref(), &cfg);
-                        let report =
-                            exec.run(&views, &target(table.as_ref()), &ReferenceSpec::WholeTable);
-                        let utils = utilities(&report);
-                        match &baseline {
-                            None => baseline = Some(utils),
-                            Some(want) => assert_eq!(
-                                want, &utils,
-                                "{kind} {mode} par={parallelism} morsel={morsel_rows}"
-                            ),
-                        }
-                    }
+            let table = test_table(kind);
+            let target = target(table.as_ref());
+            let views = enumerate_views(table.as_ref(), &[AggFunc::Avg]);
+            let want = reference_utilities(table.as_ref(), &views, &target, DistanceKind::Emd);
+            for parallelism in [1usize, 2, 8] {
+                for morsel_rows in [1usize, 7, 1024, usize::MAX] {
+                    let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+                    cfg.sharing.parallelism = Knob::Fixed(parallelism);
+                    cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
+                    cfg.sharing.memory_budget = Some(1_000_000);
+                    let exec = Executor::new(table.as_ref(), &cfg);
+                    let report = exec.run(&views, &target, &ReferenceSpec::WholeTable);
+                    assert_same_bits(
+                        &want,
+                        &utilities(&report),
+                        &format!("{kind} par={parallelism} morsel={morsel_rows}"),
+                    );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_multi_function_clusters_match_no_opt_and_reference() {
+        // Every function over measures holding NULL, NaN and ±∞, with all
+        // three dimensions packed into one cluster that computes each
+        // (function, measure) once for all of them.
+        let mut b = TableBuilder::new(vec![
+            ColumnDef::dim("d0"),
+            ColumnDef::dim("d1"),
+            ColumnDef::dim("d2"),
+            ColumnDef::measure("m0"),
+            ColumnDef::measure("m1"),
+        ]);
+        for i in 0..300u32 {
+            let m0 = match i % 17 {
+                0 => Value::Null,
+                5 => Value::Float(f64::NAN),
+                _ => Value::Float((i % 13) as f64 * 1.5 - 4.0),
+            };
+            let m1 = match i % 23 {
+                0 => Value::Float(f64::INFINITY),
+                1 => Value::Float(f64::NEG_INFINITY),
+                2 => Value::Null,
+                _ => Value::Float(0.1 * (i % 7) as f64),
+            };
+            b.push_row(&[
+                Value::str(format!("g{}", i % 4)),
+                Value::str(format!("x{}", i % 3)),
+                Value::str(format!("y{}", i % 5)),
+                m0,
+                m1,
+            ])
+            .unwrap();
+        }
+        let table = b.build(StoreKind::Column).unwrap();
+        let target = Predicate::col_eq_str(table.as_ref(), "d0", "g1");
+        let funcs = AggFunc::ALL.to_vec();
+        let views = enumerate_views(table.as_ref(), &funcs);
+        assert_eq!(views.len(), 30);
+        let want = reference_utilities(table.as_ref(), &views, &target, DistanceKind::Emd);
+
+        let mut no_opt = SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt);
+        no_opt.agg_functions = funcs.clone();
+        let report =
+            Executor::new(table.as_ref(), &no_opt).run(&views, &target, &ReferenceSpec::WholeTable);
+        assert_same_bits(&want, &utilities(&report), "NO_OPT");
+
+        for parallelism in [1usize, 4] {
+            for morsel_rows in [1usize, 7, usize::MAX] {
+                let mut cfg = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
+                cfg.agg_functions = funcs.clone();
+                cfg.sharing.memory_budget = Some(1_000_000);
+                cfg.sharing.parallelism = Knob::Fixed(parallelism);
+                cfg.sharing.morsel_rows = Knob::Fixed(morsel_rows);
+                let exec = Executor::new(table.as_ref(), &cfg);
+                let plan = exec.plan(&views, &target, &ReferenceSpec::WholeTable);
+                assert_eq!(plan.clusters.len(), 1);
+                assert_eq!(plan.clusters[0].group_by.len(), 3);
+                assert_eq!(plan.clusters[0].members.len(), 30);
+                assert_eq!(
+                    plan.clusters[0].aggregates.len(),
+                    10,
+                    "5 functions × 2 measures"
+                );
+                let report = exec.run(&views, &target, &ReferenceSpec::WholeTable);
+                assert_eq!(report.stats.queries_issued, 1);
+                assert_same_bits(
+                    &want,
+                    &utilities(&report),
+                    &format!("packed par={parallelism} morsel={morsel_rows}"),
+                );
             }
         }
     }
@@ -1342,33 +1296,6 @@ mod tests {
         );
         assert_eq!(no_opt.stats.phase_times_us.len(), 1);
         assert!(no_opt.stats.plan_summary.contains("workers=1(fixed)"));
-    }
-
-    #[test]
-    fn auto_planned_run_matches_fixed_knob_runs() {
-        let (auto, ..) = run_with(
-            ExecutionStrategy::Sharing,
-            SharingConfig::default(),
-            PruningKind::None,
-            StoreKind::Column,
-        );
-        for (parallelism, morsel_rows) in [(1, usize::MAX), (2, 64), (8, 1024)] {
-            let (fixed, ..) = run_with(
-                ExecutionStrategy::Sharing,
-                SharingConfig {
-                    parallelism: Knob::Fixed(parallelism),
-                    morsel_rows: Knob::Fixed(morsel_rows),
-                    ..Default::default()
-                },
-                PruningKind::None,
-                StoreKind::Column,
-            );
-            assert_eq!(
-                utilities(&auto),
-                utilities(&fixed),
-                "plan choice changed results: par={parallelism} morsel={morsel_rows}"
-            );
-        }
     }
 
     #[test]

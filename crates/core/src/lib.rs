@@ -44,6 +44,11 @@
 //! assert!(!rec.views.is_empty());
 //! ```
 
+// The engine's naive reference, which the executor tests check against.
+#[cfg(test)]
+#[path = "../../engine/tests/naive/mod.rs"]
+mod naive;
+
 pub mod cache;
 pub mod config;
 pub mod error;
@@ -76,5 +81,5 @@ pub use view::{ViewId, ViewSpec};
 
 // Re-exported for downstream convenience: the types callers need to drive
 // the engine without importing every crate.
-pub use seedb_engine::{AggFunc, CancelToken, ExecMode, Predicate};
+pub use seedb_engine::{AggFunc, CancelToken, Predicate};
 pub use seedb_metrics::DistanceKind;

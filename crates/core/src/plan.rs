@@ -16,18 +16,116 @@
 //! The invariant the whole suite leans on: a plan changes **how** we
 //! execute — worker count, morsel size, group-index layout, cluster
 //! packing — never **what** we compute. Every plannable shape is
-//! bit-identical to the scalar serial oracle (accumulators merge exactly),
-//! so the planner can be wrong about *cost* without ever being wrong about
+//! bit-identical to a serial scan (accumulators merge exactly), so the
+//! planner can be wrong about *cost* without ever being wrong about
 //! *results*.
 
-use crate::config::{GroupingPolicy, SeeDbConfig};
+use crate::config::{GroupingPolicy, SeeDbConfig, SharingConfig};
 use crate::reference::ReferenceSpec;
-use crate::view::ViewSpec;
+use crate::view::{ViewId, ViewSpec};
 use seedb_engine::{
     binpack, choose_morsel_rows, choose_workers, contribution_predicate, estimate_scan,
-    group_index_for, CombinedQuery, ExecMode, GroupIndexKind, Predicate, ScanShape,
+    group_index_for, AggSpec, CombinedQuery, GroupIndexKind, Predicate, ScanShape,
 };
 use seedb_storage::{ColumnId, Table};
+
+/// One shared query cluster: the views answered by a single combined
+/// query (§4.1).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cluster {
+    /// The GROUP BY dimensions; more than one when bin-packed.
+    pub group_by: Vec<ColumnId>,
+    /// The distinct `(function, measure)` aggregates, each computed once
+    /// per scanned row however many of the cluster's dimensions use it:
+    /// the rollup to each dimension recovers every member's view from the
+    /// shared column.
+    pub aggregates: Vec<AggSpec>,
+    /// `(view id, index into aggregates, position of the view's dimension
+    /// in group_by)` for each member view.
+    pub members: Vec<(ViewId, usize, usize)>,
+}
+
+/// Builds the query clusters answering `views`, applying the
+/// combine-aggregates, nagg-cap, and combine-group-bys knobs. The executor
+/// calls this every phase with the views still live; the plan calls it
+/// once with every view, so EXPLAIN reports exactly the phase-1 shape.
+pub(crate) fn build_clusters(
+    table: &dyn Table,
+    sharing: &SharingConfig,
+    views: &[&ViewSpec],
+) -> Vec<Cluster> {
+    if !sharing.combine_aggregates {
+        // One cluster per view: the unshared (but possibly parallel and
+        // split-combined) shape.
+        return views
+            .iter()
+            .map(|v| Cluster {
+                group_by: vec![v.dim],
+                aggregates: vec![AggSpec::new(v.func, v.measure)],
+                members: vec![(v.id, 0, 0)],
+            })
+            .collect();
+    }
+
+    // Unique dimensions in first-seen order, optionally combined into
+    // shared multi-GROUP-BY bins.
+    let mut dims: Vec<ColumnId> = Vec::new();
+    for v in views {
+        if !dims.contains(&v.dim) {
+            dims.push(v.dim);
+        }
+    }
+    let bins: Vec<Vec<ColumnId>> = if sharing.combine_group_bys && dims.len() > 1 {
+        match sharing.grouping_policy {
+            GroupingPolicy::BinPack => {
+                let budget = sharing.effective_budget(table.kind());
+                binpack::first_fit(table, &dims, budget).bins
+            }
+            GroupingPolicy::MaxGb(n) => dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect(),
+        }
+    } else {
+        dims.iter().map(|&d| vec![d]).collect()
+    };
+
+    let nagg_cap = sharing
+        .max_aggregates_per_query
+        .unwrap_or(usize::MAX)
+        .max(1);
+    let mut clusters = Vec::new();
+    for bin in bins {
+        // Views of every dimension in the bin share the bin's distinct
+        // aggregates.
+        let mut aggregates: Vec<AggSpec> = Vec::new();
+        let mut members = Vec::new();
+        for (dim_pos, dim) in bin.iter().enumerate() {
+            for v in views.iter().filter(|v| v.dim == *dim) {
+                let agg = AggSpec::new(v.func, v.measure);
+                let idx = match aggregates.iter().position(|a| *a == agg) {
+                    Some(idx) => idx,
+                    None => {
+                        aggregates.push(agg);
+                        aggregates.len() - 1
+                    }
+                };
+                members.push((v.id, idx, dim_pos));
+            }
+        }
+        // The nagg cap chunks the distinct aggregates; each member goes
+        // with the chunk holding its aggregate.
+        for (chunk_no, chunk) in aggregates.chunks(nagg_cap).enumerate() {
+            let first = chunk_no * nagg_cap;
+            clusters.push(Cluster {
+                group_by: bin.clone(),
+                aggregates: chunk.to_vec(),
+                members: (members.iter())
+                    .filter(|m| (first..first + chunk.len()).contains(&m.1))
+                    .map(|&(view, idx, dim_pos)| (view, idx - first, dim_pos))
+                    .collect(),
+            });
+        }
+    }
+    clusters
+}
 
 /// The execution shape chosen for one run. See the module docs for how it
 /// is derived; see [`PhysicalPlan::explain_json`] for the EXPLAIN wire
@@ -44,16 +142,14 @@ pub struct PhysicalPlan {
     pub morsel_rows: usize,
     /// Whether `morsel_rows` came from the cost model.
     pub morsel_auto: bool,
-    /// How the engine walks the table (copied from the config — the scalar
-    /// oracle is never planner-selected away).
-    pub mode: ExecMode,
     /// Group-index kind for the widest planned cluster (the cost-dominant
-    /// one). Scalar mode always aggregates through the hash path.
+    /// one).
     pub index: GroupIndexKind,
-    /// The planned phase-1 dimension clusters (every view alive). Later
-    /// phases re-cluster over surviving views only, but phase 1 is the
-    /// shape EXPLAIN reports and the one that dominates cost.
-    pub clusters: Vec<Vec<ColumnId>>,
+    /// The planned phase-1 clusters (every view alive) — the clusters the
+    /// executor's first phase runs. Later phases re-cluster over surviving
+    /// views only, but phase 1 is the shape EXPLAIN reports and the one
+    /// that dominates cost.
+    pub clusters: Vec<Cluster>,
     /// Whether any planned cluster packs more than one dimension.
     pub packed: bool,
     /// Estimated rows the contribution predicate can touch (an upper
@@ -96,50 +192,24 @@ impl PhysicalPlan {
             .morsel_rows
             .resolve(choose_morsel_rows(estimate.rows, workers));
 
-        // Phase-1 clustering: unique dims in first-seen order, then the
-        // same bin-packing decision `build_clusters` makes (exact
-        // distinct-count products under the memory budget).
-        let mut dims: Vec<ColumnId> = Vec::new();
-        for v in views {
-            if !dims.contains(&v.dim) {
-                dims.push(v.dim);
-            }
-        }
-        let clusters: Vec<Vec<ColumnId>> =
-            if sharing.combine_aggregates && sharing.combine_group_bys && dims.len() > 1 {
-                match sharing.grouping_policy {
-                    GroupingPolicy::BinPack => {
-                        let budget = sharing.effective_budget(table.kind());
-                        binpack::first_fit(table, &dims, budget).bins
-                    }
-                    GroupingPolicy::MaxGb(n) => {
-                        dims.chunks(n.max(1)).map(|chunk| chunk.to_vec()).collect()
-                    }
-                }
-            } else {
-                dims.iter().map(|&d| vec![d]).collect()
-            };
-        let packed = clusters.iter().any(|bin| bin.len() > 1);
+        let all: Vec<&ViewSpec> = views.iter().collect();
+        let clusters = build_clusters(table, sharing, &all);
+        let packed = clusters.iter().any(|c| c.group_by.len() > 1);
 
         // Index kind for the widest cluster — the engine makes the same
         // call per cluster (`group_index_for`), so EXPLAIN cannot disagree
-        // with execution. The scalar oracle always uses the hash path.
-        let index = if config.engine_mode == ExecMode::Scalar {
-            GroupIndexKind::Hash
-        } else {
-            clusters
-                .iter()
-                .max_by_key(|bin| bin.len())
-                .map(|bin| group_index_for(table, bin))
-                .unwrap_or(GroupIndexKind::Hash)
-        };
+        // with execution.
+        let index = clusters
+            .iter()
+            .max_by_key(|c| c.group_by.len())
+            .map(|c| group_index_for(table, &c.group_by))
+            .unwrap_or(GroupIndexKind::Hash);
 
         PhysicalPlan {
             workers,
             workers_auto: sharing.parallelism.fixed_value().is_none(),
             morsel_rows,
             morsel_auto: sharing.morsel_rows.fixed_value().is_none(),
-            mode: config.engine_mode,
             index,
             clusters,
             packed,
@@ -151,7 +221,7 @@ impl PhysicalPlan {
 
     /// The engine-facing slice of the plan.
     pub fn scan_shape(&self) -> ScanShape {
-        ScanShape::new(self.mode, self.morsel_rows)
+        ScanShape::new(self.morsel_rows)
     }
 
     /// `morsel_rows` rendered for humans/JSON (`usize::MAX` means "one
@@ -176,12 +246,11 @@ impl PhysicalPlan {
     /// [`ExecStats::plan_summary`](seedb_engine::ExecStats).
     pub fn summary(&self) -> String {
         format!(
-            "workers={}({}) morsel_rows={}({}) mode={} index={} clusters={}{} est_rows={} partitions={}/{} prunable",
+            "workers={}({}) morsel_rows={}({}) index={} clusters={}{} est_rows={} partitions={}/{} prunable",
             self.workers,
             Self::source(self.workers_auto),
             self.morsel_label(),
             Self::source(self.morsel_auto),
-            self.mode.label(),
             self.index.label(),
             self.clusters.len(),
             if self.packed { " packed" } else { "" },
@@ -192,13 +261,25 @@ impl PhysicalPlan {
     }
 
     /// Compact JSON object for the `"explain": true` response envelope.
+    /// Each cluster reports its GROUP BY width, member views and distinct
+    /// aggregates — the per-row aggregate work of the shared scan.
     pub fn explain_json(&self) -> String {
+        let clusters: Vec<String> = (self.clusters.iter())
+            .map(|c| {
+                format!(
+                    "{{\"dims\":{},\"views\":{},\"aggregates\":{}}}",
+                    c.group_by.len(),
+                    c.members.len(),
+                    c.aggregates.len()
+                )
+            })
+            .collect();
         format!(
             concat!(
                 "{{\"workers\":{},\"workers_source\":\"{}\",",
                 "\"morsel_rows\":\"{}\",\"morsel_source\":\"{}\",",
-                "\"mode\":\"{}\",\"index\":\"{}\",",
-                "\"clusters\":{},\"packed\":{},",
+                "\"index\":\"{}\",",
+                "\"clusters\":[{}],\"packed\":{},",
                 "\"estimated_rows\":{},",
                 "\"partitions_total\":{},\"partitions_prunable\":{}}}"
             ),
@@ -206,9 +287,8 @@ impl PhysicalPlan {
             Self::source(self.workers_auto),
             self.morsel_label(),
             Self::source(self.morsel_auto),
-            self.mode.label(),
             self.index.label(),
-            self.clusters.len(),
+            clusters.join(","),
             self.packed,
             self.estimated_rows,
             self.partitions_total,
@@ -334,17 +414,9 @@ mod tests {
         assert_eq!(plan.clusters.len(), 1);
         assert!(plan.packed);
         assert_eq!(plan.index, GroupIndexKind::DenseComposite);
-
-        // The scalar oracle never uses a dense index.
-        cfg.engine_mode = ExecMode::Scalar;
-        let scalar = PhysicalPlan::derive(
-            table.as_ref(),
-            &cfg,
-            &views,
-            &Predicate::True,
-            &ReferenceSpec::WholeTable,
-        );
-        assert_eq!(scalar.index, GroupIndexKind::Hash);
+        // Both dims' views share the one AVG(m) column.
+        assert_eq!(plan.clusters[0].members.len(), 2);
+        assert_eq!(plan.clusters[0].aggregates.len(), 1);
 
         // NO_OPT never packs.
         let noopt_cfg = SeeDbConfig::for_strategy(ExecutionStrategy::NoOpt);
@@ -375,13 +447,17 @@ mod tests {
         );
         let summary = plan.summary();
         assert!(summary.contains("workers=2(fixed)"), "{summary}");
-        assert!(summary.contains("mode=VECTORIZED"), "{summary}");
+        assert!(summary.contains("clusters=1"), "{summary}");
         let json = plan.explain_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"workers\":2"), "{json}");
         assert!(json.contains("\"workers_source\":\"fixed\""), "{json}");
         assert!(json.contains("\"morsel_source\":\"auto\""), "{json}");
         assert!(json.contains("\"partitions_total\":4"), "{json}");
+        assert!(
+            json.contains("\"clusters\":[{\"dims\":1,\"views\":1,\"aggregates\":1}]"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   partition granularity (see [`crate::cache`]).
 //! * [`SeeDbConfig::result_signature`] — exactly the configuration knobs
 //!   that can change the *content* of a recommendation. Knobs that are
-//!   bit-identical by engine contract (`engine_mode`, every sharing knob,
-//!   `parallelism`, `morsel_rows`) are deliberately excluded so requests
+//!   bit-identical by engine contract (every sharing knob, including
+//!   `parallelism` and `morsel_rows`) are deliberately excluded so requests
 //!   differing only in execution shape share cache entries.
 //!
 //! Signatures are conservative: semantically equal inputs *may* still get
@@ -162,8 +162,8 @@ impl SeeDbConfig {
     /// Included: `k`, `metric`, `agg_functions` (order matters — it fixes
     /// view ids), `strategy`, and — only for the pruning strategies, where
     /// they actually influence results — `pruning`, `num_phases`, `delta`,
-    /// and (for `RANDOM` pruning) `seed`. Excluded: `engine_mode` and all
-    /// of `sharing`, which are bit-identical by engine contract, so
+    /// and (for `RANDOM` pruning) `seed`. Excluded: all of `sharing`,
+    /// which is bit-identical by engine contract, so
     /// requests differing only in execution shape share one signature.
     pub fn result_signature(&self) -> String {
         let funcs: Vec<&str> = self.agg_functions.iter().map(|f| f.name()).collect();
@@ -339,7 +339,6 @@ mod tests {
     fn config_signature_tracks_result_affecting_knobs_only() {
         let base = SeeDbConfig::for_strategy(ExecutionStrategy::Sharing);
         let mut same = base.clone();
-        same.engine_mode = seedb_engine::ExecMode::Scalar;
         same.sharing.parallelism = crate::Knob::Fixed(7);
         same.sharing.morsel_rows = crate::Knob::Fixed(13);
         assert_eq!(base.result_signature(), same.result_signature());

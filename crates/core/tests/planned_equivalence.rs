@@ -1,8 +1,10 @@
 //! End-to-end bit-identity of cost-based plan selection: whatever
 //! execution shape the planner derives from table stats — worker count,
-//! morsel size, vectorized kernels, bin-packed clusters — the
+//! morsel size, bin-packed clusters with shared aggregates — the
 //! recommendation it produces must be byte-for-byte the one a serial
-//! scalar run computes. The plan chooses *how* to execute, never *what*.
+//! whole-partition run computes, and every view's utility must be the
+//! naive reference's (`engine/tests/naive`) over the rows the view saw.
+//! The plan chooses *how* to execute, never *what*.
 //!
 //! This is the integration-level guarantee on top of the engine's
 //! kernel-level equivalence proptests: it goes through the full
@@ -12,11 +14,17 @@
 //! dense-vs-hash index disagreement — fails here even if every kernel
 //! is individually correct.
 
+#[path = "../../engine/tests/naive/mod.rs"]
+mod naive;
+
 use proptest::prelude::*;
+use seedb_core::view::enumerate_views;
 use seedb_core::{
-    ExecMode, ExecutionStrategy, Knob, Predicate, Recommendation, ReferenceSpec, SeeDb, SeeDbConfig,
+    phase_ranges, ExecutionStrategy, Knob, Predicate, Recommendation, ReferenceSpec, SeeDb,
+    SeeDbConfig,
 };
 use seedb_engine::CmpOp;
+use seedb_metrics::normalize;
 use seedb_storage::{BoxedTable, ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 
 /// One generated row: `(dim a, dim b, float measure, int measure)`;
@@ -128,12 +136,59 @@ fn fingerprint(rec: &Recommendation) -> (Vec<(String, u64)>, Vec<u64>, usize) {
     )
 }
 
+/// The naive reference's utility of every view over rows `0..end`, for
+/// every phase prefix `end` a run under `config` can stop a view at.
+fn reference_utilities(
+    table: &BoxedTable,
+    config: &SeeDbConfig,
+    target: &Predicate,
+    reference: &ReferenceSpec,
+) -> Vec<Vec<u64>> {
+    let n = table.num_rows();
+    let mut ends = vec![n];
+    if matches!(
+        config.strategy,
+        ExecutionStrategy::Comb | ExecutionStrategy::CombEarly
+    ) {
+        ends = phase_ranges(n, config.num_phases)
+            .into_iter()
+            .map(|r| r.end)
+            .collect();
+    }
+    enumerate_views(table.as_ref(), &config.agg_functions)
+        .iter()
+        .map(|v| {
+            let query = seedb_engine::CombinedQuery::single(
+                v.dim,
+                seedb_engine::AggSpec::new(v.func, v.measure),
+                reference.to_split(target.clone()),
+            );
+            ends.iter()
+                .map(|&end| {
+                    let (t, r): (Vec<f64>, Vec<f64>) =
+                        naive::naive_query(table.as_ref(), &query, 0..end)
+                            .into_values()
+                            .map(|(t, r)| (t[0].unwrap_or(0.0), r[0].unwrap_or(0.0)))
+                            .unzip();
+                    let u = if t.is_empty() {
+                        0.0
+                    } else {
+                        config.metric.compute(&normalize(&t), &normalize(&r))
+                    };
+                    u.to_bits()
+                })
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Auto-planned execution — and a spread of pinned knob shapes —
-    /// must all reproduce the serial scalar oracle byte-for-byte, for
-    /// every strategy, both stores, and arbitrary partition layouts.
+    /// must all reproduce the serial whole-partition run byte-for-byte,
+    /// for every strategy, both stores, and arbitrary partition layouts;
+    /// and that run's utilities must be the naive reference's.
     #[test]
     fn planned_execution_is_bit_identical(
         ds in arb_dataset(),
@@ -144,15 +199,27 @@ proptest! {
         for kind in [StoreKind::Row, StoreKind::Column] {
             let table = build(&ds, kind);
 
-            // Oracle: serial, scalar, one unsplit scan per cluster.
-            let mut oracle_cfg = SeeDbConfig::for_strategy(strategy);
-            oracle_cfg.engine_mode = ExecMode::Scalar;
-            oracle_cfg.sharing.parallelism = Knob::Fixed(1);
-            oracle_cfg.sharing.morsel_rows = Knob::Fixed(usize::MAX);
-            let oracle = SeeDb::with_config(table.clone(), oracle_cfg)
+            // Baseline: serial, one unsplit scan per cluster.
+            let mut serial_cfg = SeeDbConfig::for_strategy(strategy);
+            serial_cfg.sharing.parallelism = Knob::Fixed(1);
+            serial_cfg.sharing.morsel_rows = Knob::Fixed(usize::MAX);
+            let serial = SeeDb::with_config(table.clone(), serial_cfg.clone())
                 .recommend(&target, &reference)
                 .unwrap();
-            let want = fingerprint(&oracle);
+            let want = fingerprint(&serial);
+
+            // Each view's utility is the reference's over the full table
+            // or, for the phased strategies, over some phase prefix (a
+            // view stops at its pruning or early-stop phase).
+            let prefixes = reference_utilities(&table, &serial_cfg, &target, &reference);
+            for (id, (u, options)) in serial.all_utilities.iter().zip(&prefixes).enumerate() {
+                let nan = u.is_nan() && options.iter().any(|b| f64::from_bits(*b).is_nan());
+                prop_assert!(
+                    nan || options.contains(&u.to_bits()),
+                    "view {} utility {} is no reference prefix utility (strategy {:?}, {:?})",
+                    id, u, strategy, kind
+                );
+            }
 
             // Auto knobs: the planner derives workers and morsel size
             // from stats; NO_OPT's preset pins workers at 1 by design,
@@ -165,7 +232,7 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(
                 &fingerprint(&planned), &want,
-                "auto plan diverged from oracle (strategy {:?}, {:?})",
+                "auto plan diverged from the serial run (strategy {:?}, {:?})",
                 strategy, kind
             );
 
@@ -179,7 +246,7 @@ proptest! {
                     .unwrap();
                 prop_assert_eq!(
                     &fingerprint(&fixed), &want,
-                    "fixed ({}, {}) diverged from oracle (strategy {:?}, {:?})",
+                    "fixed ({}, {}) diverged from the serial run (strategy {:?}, {:?})",
                     workers, morsel_rows, strategy, kind
                 );
             }

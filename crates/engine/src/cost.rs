@@ -11,7 +11,7 @@
 //! Three choices live here:
 //!
 //! * [`choose_group_index`] — dense-vs-hash group indexing. This is the
-//!   *same function* the vectorized aggregation path calls when it builds
+//!   *same function* the aggregation kernel calls when it builds
 //!   its index ([`crate::PartialAggregation`]), so an EXPLAIN that reports
 //!   the planned index kind reports the engine's literal decision, not a
 //!   parallel reimplementation that could drift.
@@ -27,10 +27,9 @@
 
 use crate::expr::Predicate;
 use crate::prune::zone_match;
-use crate::ExecMode;
 use seedb_storage::{ColumnId, Table, ZoneMatch, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_ROWS};
 
-/// Largest dictionary cardinality for which the vectorized path uses a
+/// Largest dictionary cardinality for which the engine uses a
 /// dense dictionary-direct group index (see [`choose_group_index`]).
 pub const DENSE_CARDINALITY_MAX: usize = 1 << 16;
 
@@ -44,7 +43,7 @@ pub const PARALLEL_ROWS_MIN: usize = 2 * DEFAULT_MORSEL_ROWS;
 /// imbalance (one worker drawing the last large morsel) stays bounded.
 const MORSELS_PER_WORKER: usize = 4;
 
-/// Group-index strategy of the vectorized aggregation path.
+/// Group-index strategy of the aggregation kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupIndexKind {
     /// Single-attribute dictionary-direct dense index.
@@ -76,8 +75,8 @@ impl GroupIndexKind {
 ///   dense cap → [`GroupIndexKind::DenseComposite`];
 /// * anything else → [`GroupIndexKind::Hash`].
 ///
-/// This is the engine's *actual* decision rule — the vectorized
-/// aggregation path routes through it — so planner EXPLAIN output and
+/// This is the engine's *actual* decision rule — the aggregation
+/// kernel routes through it — so planner EXPLAIN output and
 /// execution can never disagree.
 pub fn choose_group_index(dict_sizes: &[Option<usize>]) -> GroupIndexKind {
     match dict_sizes {
@@ -178,21 +177,19 @@ pub fn choose_morsel_rows(est_rows: usize, workers: usize) -> usize {
 }
 
 /// The per-scan slice of a physical plan the engine layers consume: how a
-/// range is scanned (mode) and how it is carved into work items. The
+/// range is carved into work items. The
 /// planner in `seedb-core` builds one; [`crate::execute_morsels`] executes
 /// under it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanShape {
-    /// Scalar or vectorized execution.
-    pub mode: ExecMode,
     /// Maximum rows per morsel (`usize::MAX` = one morsel per partition).
     pub morsel_rows: usize,
 }
 
 impl ScanShape {
-    /// A serial-friendly default shape in the given mode.
-    pub fn new(mode: ExecMode, morsel_rows: usize) -> Self {
-        ScanShape { mode, morsel_rows }
+    /// A shape carving scans into morsels of at most `morsel_rows` rows.
+    pub fn new(morsel_rows: usize) -> Self {
+        ScanShape { morsel_rows }
     }
 }
 

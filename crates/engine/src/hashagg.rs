@@ -5,43 +5,46 @@
 //! feeds it one partition per phase) and produce a consistent snapshot
 //! after each. [`execute_combined`] is the one-shot convenience wrapper.
 //!
-//! Two execution modes share one accumulator representation
-//! ([`crate::ExecMode`]):
+//! There is one execution path, a batched kernel over
+//! [`Table::scan_batches`]:
 //!
-//! * **Scalar** — the original row-at-a-time path: `Table::scan_range`
-//!   yields a `Cell` slice per row and every row pays a hash lookup.
-//! * **Vectorized** (default) — `Table::scan_batches` yields typed column
-//!   slices; predicates evaluate to selection bitmaps
-//!   ([`BoundPredicate::eval_batch`]), and group lookups go through a
-//!   **dense index** whenever the grouping domain fits
-//!   [`DENSE_CARDINALITY_MAX`]: dictionary-direct for single-attribute
-//!   group-bys, **mixed-radix composite** for bin-packed multi-GROUP-BY
-//!   clusters (per-attribute codes encode into one slot index — no
-//!   `GroupKey` allocation, no hash probe per row). Stray codes spill to
-//!   the hash map; non-categorical attributes and oversized domains keep
-//!   the hash path.
+//! 1. **Selection.** Predicates evaluate to per-batch target/reference
+//!    selection bitmaps ([`BoundPredicate::eval_batch`]).
+//! 2. **Slot resolution.** Every selected row's group slot is resolved
+//!    once per batch into a reusable scratch vector. Lookups go through a
+//!    **dense index** whenever the grouping domain fits
+//!    [`DENSE_CARDINALITY_MAX`]: dictionary-direct for single-attribute
+//!    group-bys, **mixed-radix composite** for bin-packed multi-GROUP-BY
+//!    clusters (the radix slot is built column-at-a-time from the code
+//!    slices — no `GroupKey` allocation, no hash probe per row). Stray
+//!    codes spill to the hash map; non-categorical attributes and
+//!    oversized domains keep the hash path.
+//! 3. **Accumulation.** The aggregate is the outer loop and the selected
+//!    rows the inner one, over the measure's hoisted typed slice. State is
+//!    struct-of-arrays per (aggregate, side), indexed by slot, and holds
+//!    only what the function needs ([`crate::agg`]).
 //!
-//! Both modes consume rows in the same order, and partials
-//! ([`PartialAggregation::merge`]) fold exactly, so results are
-//! bit-identical across modes, phase partitions, and morsel-parallel
-//! execution — a property the equivalence test suites assert exactly.
+//! Partials ([`PartialAggregation::merge`]) fold exactly, so results are
+//! bit-identical across phase partitions, batch boundaries and
+//! morsel-parallel execution — a property the equivalence suites assert
+//! against a naive row-at-a-time reference.
 
-use crate::agg::Accumulator;
+use crate::agg::AggColumn;
 use crate::expr::BoundPredicate;
 use crate::groupkey::GroupKey;
 use crate::spec::{CombinedQuery, SplitSpec};
 use crate::stats::ExecStats;
-use crate::{ExecMode, GroupEntry, GroupedResult};
+use crate::{GroupEntry, GroupedResult};
 use rustc_hash::FxHashMap;
-use seedb_storage::{Batch, Bitmap, ColumnId, Table, DEFAULT_BATCH_SIZE};
+use seedb_storage::{Batch, BatchData, Bitmap, ColumnId, Table, DEFAULT_BATCH_SIZE};
 use std::ops::Range;
 
-/// Largest dictionary cardinality for which the vectorized path uses the
-/// dense dictionary-direct group index. Beyond this (64 Ki distinct
-/// values), a mostly-empty dense table would waste more cache than the
-/// hash probes it avoids, so the engine falls back to hashing. The
-/// decision rule itself lives in [`crate::cost::choose_group_index`] so
-/// the planner's EXPLAIN output reports the engine's literal choice.
+/// Largest dictionary cardinality for which the engine uses the dense
+/// dictionary-direct group index. Beyond this (64 Ki distinct values), a
+/// mostly-empty dense table would waste more cache than the hash probes it
+/// avoids, so the engine falls back to hashing. The decision rule itself
+/// lives in [`crate::cost::choose_group_index`] so the planner's EXPLAIN
+/// output reports the engine's literal choice.
 pub use crate::cost::DENSE_CARDINALITY_MAX;
 use crate::cost::{group_index_for, GroupIndexKind};
 
@@ -57,22 +60,7 @@ enum BoundSplit {
 }
 
 impl BoundSplit {
-    /// Classifies a row: `(is_target, is_reference)`.
-    #[inline]
-    fn classify(&self, cells: &[seedb_storage::Cell]) -> (bool, bool) {
-        match self {
-            BoundSplit::TargetVsAll(p) => (p.eval(cells), true),
-            BoundSplit::TargetVsComplement(p) => {
-                let t = p.eval(cells);
-                (t, !t)
-            }
-            BoundSplit::TargetVsQuery(t, r) => (t.eval(cells), r.eval(cells)),
-            BoundSplit::TargetOnly(p) => (p.eval(cells), false),
-        }
-    }
-
-    /// Vectorized classification: fills per-row `target`/`reference`
-    /// selection bitmaps for a whole batch.
+    /// Fills per-row `target`/`reference` selection bitmaps for a batch.
     fn classify_batch(&self, batch: &Batch<'_>, target: &mut Bitmap, reference: &mut Bitmap) {
         let n = batch.len();
         match self {
@@ -106,60 +94,161 @@ struct RadixDim {
     stride: u64,
 }
 
-/// Mixed-radix slot of a code tuple, or `None` when any code falls outside
-/// its planned radix (a stray code — e.g. from a different table instance —
-/// which must spill to the hash map instead).
-#[inline]
-fn composite_slot(dims: &[RadixDim], codes: &[u64]) -> Option<usize> {
-    let mut slot = 0u64;
-    for (d, &code) in dims.iter().zip(codes) {
-        // NULL (code u64::MAX) owns sub-slot 0; code c owns c + 1.
-        let sub = if code == u64::MAX { 0 } else { code + 1 };
-        if sub >= d.base {
-            return None;
-        }
-        slot += sub * d.stride;
-    }
-    Some(slot as usize)
+/// Marks a composite radix slot whose code tuple falls outside the planned
+/// radix (far above any real slot: the composite domain is at most
+/// `DENSE_CARDINALITY_MAX + 1`).
+const STRAY: u64 = 1 << 63;
+
+/// Sub-slot of a grouping code: NULL (`u64::MAX`) owns 0, code `c` owns
+/// `c + 1`.
+#[inline(always)]
+fn sub_slot(code: u64) -> u64 {
+    code.wrapping_add(1)
 }
 
-/// Group-index strategy of the vectorized path.
+/// Group-index strategy, decided on the first batch.
 enum DenseIndex {
-    /// Not yet decided (no batch seen); resolved on the first update.
+    /// Not yet decided (no batch seen).
     Undecided,
-    /// Hash lookups (non-categorical attribute or cardinality above
+    /// Hash lookups only (non-categorical attribute or cardinality above
     /// [`DENSE_CARDINALITY_MAX`]).
     Disabled,
     /// Single-attribute dictionary-direct index: `slots[code + 1]` holds
-    /// `entry_index + 1` (0 = group not yet observed); `slots[0]` is the
-    /// NULL group's slot. Grows on demand for codes past the planning-time
+    /// `group slot + 1` (0 = group not yet observed); `slots[0]` is the
+    /// NULL group's. Grows on demand for codes past the planning-time
     /// dictionary, up to the dense cap.
     Single { slots: Vec<u32> },
     /// Composite dense index for bin-packed multi-GROUP-BY clusters: the
-    /// per-attribute dictionary codes are mixed-radix-encoded into one slot
-    /// index (`Σ (codeᵢ + 1) · strideᵢ`, NULL = 0). Fixed-size — codes
-    /// beyond an attribute's planned radix spill to the hash map.
+    /// per-attribute codes are mixed-radix-encoded into one index
+    /// (`Σ (codeᵢ + 1) · strideᵢ`, NULL = 0). Fixed-size — codes beyond an
+    /// attribute's planned radix spill to the hash map.
     Composite {
         slots: Vec<u32>,
         dims: Vec<RadixDim>,
     },
 }
 
-/// Accumulated state of one group.
-struct GroupState {
-    key: GroupKey,
-    target: Vec<Accumulator>,
-    reference: Vec<Accumulator>,
+/// Group slot lookup: the dense index plus the hash map that owns every
+/// code tuple the dense index does not. The two key spaces are disjoint,
+/// so a tuple always resolves to the same slot.
+struct GroupIndex {
+    dense: DenseIndex,
+    map: FxHashMap<Box<[u64]>, u32>,
 }
 
-impl GroupState {
-    fn new(key: GroupKey, n_aggs: usize) -> Self {
-        GroupState {
-            key,
-            target: vec![Accumulator::new(); n_aggs],
-            reference: vec![Accumulator::new(); n_aggs],
+/// Group keys and aggregate state, indexed by dense group slot (the order
+/// groups were first seen in).
+struct GroupStore {
+    keys: Vec<GroupKey>,
+    target: Vec<AggColumn>,
+    reference: Vec<AggColumn>,
+}
+
+impl GroupStore {
+    fn new(query: &CombinedQuery) -> Self {
+        let columns = || {
+            query
+                .aggregates
+                .iter()
+                .map(|a| AggColumn::new(a.func))
+                .collect()
+        };
+        GroupStore {
+            keys: Vec::new(),
+            target: columns(),
+            reference: columns(),
         }
     }
+
+    /// Appends an empty group, returning its slot.
+    fn push(&mut self, key: GroupKey) -> u32 {
+        let slot = self.keys.len() as u32;
+        self.keys.push(key);
+        for col in self.target.iter_mut().chain(&mut self.reference) {
+            col.push_slot();
+        }
+        slot
+    }
+
+    /// One group's state as a [`GroupEntry`].
+    fn entry(&self, slot: usize, key: GroupKey) -> GroupEntry {
+        GroupEntry {
+            key,
+            target: self.target.iter().map(|c| c.accumulator(slot)).collect(),
+            reference: self.reference.iter().map(|c| c.accumulator(slot)).collect(),
+        }
+    }
+}
+
+/// Resolves dense-index entry `cell` (`slot + 1`, 0 = unseen) to a group
+/// slot, creating the group with `key()` on first sight.
+#[inline(always)]
+fn dense_entry(cell: &mut u32, store: &mut GroupStore, key: impl FnOnce() -> GroupKey) -> u32 {
+    match *cell {
+        0 => {
+            let slot = store.push(key());
+            *cell = slot + 1;
+            slot
+        }
+        v => v - 1,
+    }
+}
+
+impl GroupIndex {
+    /// Slot of the group with per-attribute `codes`, creating it if new.
+    /// Routes through the dense index exactly as the batch kernel does, so
+    /// merged partials and scanned rows agree on ownership.
+    fn resolve(&mut self, codes: &[u64], store: &mut GroupStore) -> u32 {
+        let key = || GroupKey::from_codes(codes);
+        match &mut self.dense {
+            DenseIndex::Single { slots } => {
+                let si = sub_slot(codes[0]) as usize;
+                if si <= DENSE_CARDINALITY_MAX + 1 {
+                    if si >= slots.len() {
+                        // A code beyond the planning-time dictionary (e.g.
+                        // a different table instance): grow, bounded by
+                        // the dense cardinality cap.
+                        slots.resize(si + 1, 0);
+                    }
+                    return dense_entry(&mut slots[si], store, key);
+                }
+            }
+            DenseIndex::Composite { slots, dims } => {
+                let mut si = 0u64;
+                let mut stray = false;
+                for (d, &code) in dims.iter().zip(codes) {
+                    let sub = sub_slot(code);
+                    stray |= sub >= d.base;
+                    si = si.wrapping_add(sub.wrapping_mul(d.stride));
+                }
+                if !stray {
+                    return dense_entry(&mut slots[si as usize], store, key);
+                }
+            }
+            DenseIndex::Disabled | DenseIndex::Undecided => {}
+        }
+        if let Some(&slot) = self.map.get(codes) {
+            return slot;
+        }
+        let slot = store.push(key());
+        self.map.insert(codes.into(), slot);
+        slot
+    }
+}
+
+/// Per-batch scratch, reused across batches and updates.
+#[derive(Default)]
+struct Scratch {
+    target: Bitmap,
+    reference: Bitmap,
+    filter: Bitmap,
+    /// Group slot of every selected row, indexed by row within the batch.
+    slots: Vec<u32>,
+    /// Composite radix index of every row (`STRAY`-tagged when a code falls
+    /// outside its planned radix).
+    radix: Vec<u64>,
+    /// One row's grouping codes (hash and stray lookups).
+    codes: Vec<u64>,
 }
 
 /// Resumable grouped aggregation over a [`CombinedQuery`].
@@ -170,23 +259,16 @@ pub struct PartialAggregation {
     measure_slots: Vec<usize>,
     filter: Option<BoundPredicate>,
     split: BoundSplit,
-    mode: ExecMode,
-    map: FxHashMap<GroupKey, u32>,
-    dense: DenseIndex,
-    entries: Vec<GroupState>,
+    index: GroupIndex,
+    store: GroupStore,
+    scratch: Scratch,
     rows_consumed: u64,
     target_rows: u64,
 }
 
 impl PartialAggregation {
-    /// Plans the projection and binds predicates for `query`, executing in
-    /// the default [`ExecMode`].
+    /// Plans the projection and binds predicates for `query`.
     pub fn new(query: CombinedQuery) -> Self {
-        Self::with_mode(query, ExecMode::default())
-    }
-
-    /// [`PartialAggregation::new`] with an explicit execution mode.
-    pub fn with_mode(query: CombinedQuery, mode: ExecMode) -> Self {
         // Projection = group-by columns ++ measure columns ++ predicate
         // columns, deduplicated in that order.
         let mut projection: Vec<ColumnId> = Vec::new();
@@ -235,16 +317,18 @@ impl PartialAggregation {
         };
 
         PartialAggregation {
+            store: GroupStore::new(&query),
             query,
             projection,
             group_slots,
             measure_slots,
             filter,
             split,
-            mode,
-            map: FxHashMap::default(),
-            dense: DenseIndex::Undecided,
-            entries: Vec::new(),
+            index: GroupIndex {
+                dense: DenseIndex::Undecided,
+                map: FxHashMap::default(),
+            },
+            scratch: Scratch::default(),
             rows_consumed: 0,
             target_rows: 0,
         }
@@ -253,11 +337,6 @@ impl PartialAggregation {
     /// The query this aggregation executes.
     pub fn query(&self) -> &CombinedQuery {
         &self.query
-    }
-
-    /// The execution mode this aggregation runs in.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Total rows consumed so far (across all `update` calls).
@@ -272,88 +351,10 @@ impl PartialAggregation {
 
     /// Number of groups currently maintained (the memory-budget quantity).
     pub fn num_groups(&self) -> usize {
-        self.entries.len()
+        self.store.keys.len()
     }
 
-    /// Consumes rows `range` of `table`, updating accumulators and `stats`.
-    pub fn update(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        match self.mode {
-            ExecMode::Scalar => self.update_scalar(table, range, stats),
-            ExecMode::Vectorized => self.update_vectorized(table, range, stats),
-        }
-    }
-
-    /// Row-at-a-time update through [`Table::scan_range`].
-    fn update_scalar(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.query.aggregates.len();
-        let proj_width = self.projection.len();
-        let start = range.start.min(table.num_rows());
-        let end = range.end.min(table.num_rows());
-
-        // Split borrows so the closure can touch disjoint fields.
-        let map = &mut self.map;
-        let entries = &mut self.entries;
-        let group_slots = &self.group_slots;
-        let measure_slots = &self.measure_slots;
-        let filter = &self.filter;
-        let split = &self.split;
-
-        let mut codes: Vec<u64> = vec![0; group_slots.len()];
-        let mut rows = 0u64;
-        let mut target_rows = 0u64;
-
-        table.scan_range(&self.projection, start..end, &mut |cells| {
-            rows += 1;
-            if let Some(f) = filter {
-                if !f.eval(cells) {
-                    return;
-                }
-            }
-            let (is_target, is_ref) = split.classify(cells);
-            if !is_target && !is_ref {
-                return;
-            }
-            if is_target {
-                target_rows += 1;
-            }
-            for (dst, &slot) in codes.iter_mut().zip(group_slots) {
-                *dst = cells[slot].group_code();
-            }
-            let key = GroupKey::from_codes(&codes);
-            let idx = match map.get(&key) {
-                Some(&i) => i as usize,
-                None => {
-                    let i = entries.len();
-                    map.insert(key.clone(), i as u32);
-                    entries.push(GroupState {
-                        key,
-                        target: vec![Accumulator::new(); n_aggs],
-                        reference: vec![Accumulator::new(); n_aggs],
-                    });
-                    i
-                }
-            };
-            let entry = &mut entries[idx];
-            for (agg_idx, &slot) in measure_slots.iter().enumerate() {
-                let v = cells[slot].as_f64();
-                if is_target {
-                    entry.target[agg_idx].update(v);
-                }
-                if is_ref {
-                    entry.reference[agg_idx].update(v);
-                }
-            }
-        });
-
-        self.rows_consumed += rows;
-        self.target_rows += target_rows;
-        stats.scan_passes += 1;
-        stats.rows_scanned += rows;
-        stats.cells_visited += rows * proj_width as u64;
-        stats.groups_max = stats.groups_max.max(self.entries.len() as u64);
-    }
-
-    /// Picks the vectorized path's group index on the first batch:
+    /// Picks the group index on the first batch:
     ///
     /// * one categorical attribute of cardinality ≤
     ///   [`DENSE_CARDINALITY_MAX`] → the growable single-attribute
@@ -365,40 +366,29 @@ impl PartialAggregation {
     ///   budget is within the cap);
     /// * anything else → hash lookups.
     fn ensure_group_index(&mut self, table: &dyn Table) {
-        if !matches!(self.dense, DenseIndex::Undecided) {
+        if !matches!(self.index.dense, DenseIndex::Undecided) {
             return;
         }
         // The dense-vs-hash decision is the cost model's — the planner
         // calls the same function, so EXPLAIN can never disagree with what
         // actually runs. This method only materializes the chosen index.
-        self.dense = match group_index_for(table, &self.query.group_by) {
-            GroupIndexKind::DenseSingle => {
-                let d = table
-                    .dictionary(self.query.group_by[0])
-                    .expect("DenseSingle implies a dictionary");
-                DenseIndex::Single {
-                    // Slot 0 is the NULL group; code c maps to slot c + 1.
-                    slots: vec![0; d.len() + 1],
-                }
-            }
+        let card = |col: ColumnId| {
+            table
+                .dictionary(col)
+                .expect("a dense index implies dictionaries")
+                .len()
+        };
+        self.index.dense = match group_index_for(table, &self.query.group_by) {
+            GroupIndexKind::DenseSingle => DenseIndex::Single {
+                slots: vec![0; card(self.query.group_by[0]) + 1],
+            },
             GroupIndexKind::DenseComposite => {
-                let bases: Vec<u64> = self
-                    .query
-                    .group_by
-                    .iter()
-                    .map(|&col| {
-                        table
-                            .dictionary(col)
-                            .expect("DenseComposite implies dictionaries")
-                            .len() as u64
-                            + 1 // + NULL slot
-                    })
-                    .collect();
                 // Last attribute varies fastest (row-major radix layout);
                 // the final stride is the full domain Π (|aᵢ| + 1).
-                let mut dims = vec![RadixDim { base: 0, stride: 0 }; bases.len()];
+                let mut dims = vec![RadixDim { base: 0, stride: 0 }; self.query.group_by.len()];
                 let mut stride = 1u64;
-                for (i, &base) in bases.iter().enumerate().rev() {
+                for (i, &col) in self.query.group_by.iter().enumerate().rev() {
+                    let base = card(col) as u64 + 1; // + NULL slot
                     dims[i] = RadixDim { base, stride };
                     stride *= base;
                 }
@@ -411,287 +401,78 @@ impl PartialAggregation {
         };
     }
 
-    /// Batched update through [`Table::scan_batches`]: per-batch selection
-    /// bitmaps, then a tight per-row accumulation loop over typed slices.
-    /// Row order matches the scalar path exactly, so results are
-    /// bit-identical.
-    fn update_vectorized(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
-        let n_aggs = self.query.aggregates.len();
+    /// Consumes rows `range` of `table` batch by batch, updating the
+    /// aggregate state and `stats`.
+    pub fn update(&mut self, table: &dyn Table, range: Range<usize>, stats: &mut ExecStats) {
         let proj_width = self.projection.len();
         let start = range.start.min(table.num_rows());
         let end = range.end.min(table.num_rows());
-
         self.ensure_group_index(table);
-
-        // Split borrows so the closure can touch disjoint fields.
-        let map = &mut self.map;
-        let dense = &mut self.dense;
-        let entries = &mut self.entries;
-        let group_slots = &self.group_slots;
-        let measure_slots = &self.measure_slots;
-        let filter = &self.filter;
-        let split = &self.split;
 
         let mut rows = 0u64;
         let mut target_rows = 0u64;
-
-        // Per-batch scratch, reused across batches.
-        let mut t_bits = Bitmap::new();
-        let mut r_bits = Bitmap::new();
-        let mut f_bits = Bitmap::new();
-        let mut codes: Vec<u64> = vec![0; group_slots.len()];
-
-        table.scan_batches(
-            &self.projection,
-            start..end,
-            DEFAULT_BATCH_SIZE,
-            &mut |batch| {
-                let n = batch.len();
-                rows += n as u64;
-
-                split.classify_batch(batch, &mut t_bits, &mut r_bits);
-                if let Some(f) = filter {
-                    f.eval_batch(batch, &mut f_bits);
-                    t_bits.and_assign(&f_bits);
-                    r_bits.and_assign(&f_bits);
-                }
-
-                // Hoist each measure's typed slice when it is a dense
-                // `f64` column (the overwhelmingly common measure shape) so
-                // the per-row loop skips the `BatchData` dispatch.
-                let measures: Vec<(usize, Option<&[f64]>)> = measure_slots
-                    .iter()
-                    .map(|&slot| {
-                        let col = batch.column(slot);
-                        let fast = match (col.data, col.validity) {
-                            (seedb_storage::BatchData::Float(v), None) => Some(v),
-                            _ => None,
-                        };
-                        (slot, fast)
-                    })
-                    .collect();
-                let visit = |entries: &mut Vec<GroupState>,
-                             i: usize,
-                             entry_idx: usize,
-                             is_t: bool,
-                             is_r: bool| {
-                    let entry = &mut entries[entry_idx];
-                    for (agg_idx, &(slot, fast)) in measures.iter().enumerate() {
-                        let v = match fast {
-                            Some(values) => Some(values[i]),
-                            None => batch.column(slot).value_f64(i),
-                        };
-                        if is_t {
-                            entry.target[agg_idx].update(v);
-                        }
-                        if is_r {
-                            entry.reference[agg_idx].update(v);
-                        }
-                    }
-                };
-
-                match dense {
-                    DenseIndex::Single { slots } => {
-                        // Dense dictionary-direct path: one group attribute,
-                        // entry index looked up by dictionary code. The common
-                        // case — a dense categorical batch slice — reads codes
-                        // straight from the slice without per-row dispatch.
-                        let gcol = *batch.column(group_slots[0]);
-                        let cat_codes = match (gcol.data, gcol.validity) {
-                            (seedb_storage::BatchData::Cat(v), None) => Some(v),
-                            _ => None,
-                        };
-                        for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
-                            let code = match cat_codes {
-                                Some(v) => v[i] as u64,
-                                None => gcol.group_code(i),
-                            };
-                            let si = if code == u64::MAX {
-                                0
-                            } else {
-                                code as usize + 1
-                            };
-                            let entry_idx = if si <= DENSE_CARDINALITY_MAX + 1 {
-                                if si >= slots.len() {
-                                    // A code beyond the planning-time dictionary
-                                    // (e.g. a different table instance): grow,
-                                    // bounded by the dense cardinality cap.
-                                    slots.resize(si + 1, 0);
-                                }
-                                match slots[si] {
-                                    0 => {
-                                        let idx = entries.len();
-                                        slots[si] = idx as u32 + 1;
-                                        entries.push(GroupState::new(GroupKey::One(code), n_aggs));
-                                        idx
-                                    }
-                                    v => v as usize - 1,
-                                }
-                            } else {
-                                // A stray code past the dense cap must not
-                                // force a huge, mostly-empty dense table:
-                                // overflow such groups into the hash map (keys
-                                // stay disjoint — the dense table owns every
-                                // code at or below the cap).
-                                let key = GroupKey::One(code);
-                                match map.get(&key) {
-                                    Some(&idx) => idx as usize,
-                                    None => {
-                                        let idx = entries.len();
-                                        map.insert(key, idx as u32);
-                                        entries.push(GroupState::new(GroupKey::One(code), n_aggs));
-                                        idx
-                                    }
-                                }
-                            };
-                            visit(entries, i, entry_idx, is_t, is_r);
-                        });
-                    }
-                    DenseIndex::Composite { slots, dims } => {
-                        // Composite dense path: the bin-packed multi-GROUP-BY
-                        // cluster. Per-attribute codes are mixed-radix-encoded
-                        // into one slot — no `GroupKey` allocation and no hash
-                        // probe per row. Stray codes (outside an attribute's
-                        // planned radix) spill to the hash map; the two key
-                        // spaces are disjoint because the dense table owns
-                        // exactly the in-radix tuples.
-                        for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
-                            for (dst, &slot) in codes.iter_mut().zip(group_slots) {
-                                *dst = batch.column(slot).group_code(i);
-                            }
-                            let entry_idx = match composite_slot(dims, &codes) {
-                                Some(si) => match slots[si] {
-                                    0 => {
-                                        let idx = entries.len();
-                                        slots[si] = idx as u32 + 1;
-                                        entries.push(GroupState::new(
-                                            GroupKey::from_codes(&codes),
-                                            n_aggs,
-                                        ));
-                                        idx
-                                    }
-                                    v => v as usize - 1,
-                                },
-                                None => {
-                                    let key = GroupKey::from_codes(&codes);
-                                    match map.get(&key) {
-                                        Some(&idx) => idx as usize,
-                                        None => {
-                                            let idx = entries.len();
-                                            map.insert(key.clone(), idx as u32);
-                                            entries.push(GroupState::new(key, n_aggs));
-                                            idx
-                                        }
-                                    }
-                                }
-                            };
-                            visit(entries, i, entry_idx, is_t, is_r);
-                        });
-                    }
-                    DenseIndex::Disabled | DenseIndex::Undecided => {
-                        // Hash path (non-dense attribute or oversized domain).
-                        for_each_selected(&t_bits, &r_bits, |i, is_t, is_r| {
-                            if is_t {
-                                target_rows += 1;
-                            }
-                            for (dst, &slot) in codes.iter_mut().zip(group_slots) {
-                                *dst = batch.column(slot).group_code(i);
-                            }
-                            let key = GroupKey::from_codes(&codes);
-                            let entry_idx = match map.get(&key) {
-                                Some(&idx) => idx as usize,
-                                None => {
-                                    let idx = entries.len();
-                                    map.insert(key.clone(), idx as u32);
-                                    entries.push(GroupState::new(key, n_aggs));
-                                    idx
-                                }
-                            };
-                            visit(entries, i, entry_idx, is_t, is_r);
-                        });
-                    }
-                }
-            },
-        );
+        let projection = std::mem::take(&mut self.projection);
+        table.scan_batches(&projection, start..end, DEFAULT_BATCH_SIZE, &mut |batch| {
+            rows += batch.len() as u64;
+            target_rows += self.update_batch(batch);
+        });
+        self.projection = projection;
 
         self.rows_consumed += rows;
         self.target_rows += target_rows;
         stats.scan_passes += 1;
         stats.rows_scanned += rows;
         stats.cells_visited += rows * proj_width as u64;
-        stats.groups_max = stats.groups_max.max(self.entries.len() as u64);
+        stats.groups_max = stats.groups_max.max(self.num_groups() as u64);
     }
 
-    /// Looks up (or creates) the entry for `key`, routing through whichever
-    /// group index this aggregation runs — the merge-path twin of the
-    /// per-row lookups in `update_vectorized`. Dense-vs-hash ownership is
-    /// identical to the update path, so merging partials that used the same
-    /// plan keeps the two key spaces disjoint.
-    fn entry_index_for_key(&mut self, key: &GroupKey, n_aggs: usize) -> usize {
-        let dense_slot = match &self.dense {
-            DenseIndex::Single { .. } => {
-                let code = key.code(0);
-                let si = if code == u64::MAX {
-                    0
-                } else {
-                    code as usize + 1
-                };
-                (si <= DENSE_CARDINALITY_MAX + 1).then_some(si)
-            }
-            DenseIndex::Composite { dims, .. } => {
-                let codes: Vec<u64> = (0..key.arity()).map(|i| key.code(i)).collect();
-                composite_slot(dims, &codes)
-            }
-            DenseIndex::Disabled | DenseIndex::Undecided => None,
-        };
-        match (&mut self.dense, dense_slot) {
-            (DenseIndex::Single { slots }, Some(si)) => {
-                if si >= slots.len() {
-                    slots.resize(si + 1, 0);
-                }
-                match slots[si] {
-                    0 => {
-                        let idx = self.entries.len();
-                        slots[si] = idx as u32 + 1;
-                        self.entries.push(GroupState::new(key.clone(), n_aggs));
-                        idx
-                    }
-                    v => v as usize - 1,
-                }
-            }
-            (DenseIndex::Composite { slots, .. }, Some(si)) => match slots[si] {
-                0 => {
-                    let idx = self.entries.len();
-                    slots[si] = idx as u32 + 1;
-                    self.entries.push(GroupState::new(key.clone(), n_aggs));
-                    idx
-                }
-                v => v as usize - 1,
-            },
-            _ => match self.map.get(key) {
-                Some(&idx) => idx as usize,
-                None => {
-                    let idx = self.entries.len();
-                    self.map.insert(key.clone(), idx as u32);
-                    self.entries.push(GroupState::new(key.clone(), n_aggs));
-                    idx
-                }
-            },
+    /// The kernel for one batch; returns the number of target rows.
+    fn update_batch(&mut self, batch: &Batch<'_>) -> u64 {
+        let sc = &mut self.scratch;
+        self.split
+            .classify_batch(batch, &mut sc.target, &mut sc.reference);
+        if let Some(f) = &self.filter {
+            f.eval_batch(batch, &mut sc.filter);
+            sc.target.and_assign(&sc.filter);
+            sc.reference.and_assign(&sc.filter);
         }
+        let n = batch.len();
+        sc.slots.resize(n, 0);
+        resolve_slots(
+            batch,
+            &self.group_slots,
+            &mut self.index,
+            &mut self.store,
+            sc,
+        );
+
+        // Aggregate-outer, row-inner: each aggregate walks its side's
+        // selection over the measure's hoisted typed slice.
+        let store = &mut self.store;
+        for (agg, &slot) in self.measure_slots.iter().enumerate() {
+            let col = *batch.column(slot);
+            let sides = [
+                (&mut store.target[agg], &sc.target),
+                (&mut store.reference[agg], &sc.reference),
+            ];
+            for (state, selection) in sides {
+                match (col.data, col.validity) {
+                    (BatchData::Float(v), None) => {
+                        state.update(selection.words(), &sc.slots, |i| Some(v[i]))
+                    }
+                    _ => state.update(selection.words(), &sc.slots, |i| col.value_f64(i)),
+                }
+            }
+        }
+        sc.target.count_ones() as u64
     }
 
-    /// Folds another partial aggregation of the **same plan** (query shape
-    /// and mode) into this one, merging per-group accumulators. Because
-    /// accumulators merge exactly (see [`Accumulator::merge`]), folding
-    /// morsel partials — in any order — produces results bit-identical to a
-    /// single serial scan; the morsel scheduler still folds in ascending
-    /// first-morsel order for deterministic entry discovery.
+    /// Folds another partial aggregation of the **same plan** (query shape)
+    /// into this one, merging per-group state. Because state merges
+    /// exactly (see [`crate::Accumulator::merge`]), folding morsel partials
+    /// — in any order — produces results bit-identical to a single serial
+    /// scan; the morsel scheduler still folds in ascending first-morsel
+    /// order for deterministic group discovery.
     ///
     /// # Panics
     /// Debug-asserts that both sides execute the same group-by and
@@ -704,36 +485,48 @@ impl PartialAggregation {
         );
         self.rows_consumed += other.rows_consumed;
         self.target_rows += other.target_rows;
-        if self.entries.is_empty() && matches!(self.dense, DenseIndex::Undecided) {
+        if self.store.keys.is_empty() && matches!(self.index.dense, DenseIndex::Undecided) {
             // This side never consumed a batch: adopt the other side's
             // state wholesale (index structure included).
-            self.dense = other.dense;
-            self.map = other.map;
-            self.entries = other.entries;
+            self.index = other.index;
+            self.store = other.store;
             return;
         }
-        let n_aggs = self.query.aggregates.len();
-        for group in other.entries {
-            let idx = self.entry_index_for_key(&group.key, n_aggs);
-            let entry = &mut self.entries[idx];
-            for agg in 0..n_aggs {
-                entry.target[agg].merge(&group.target[agg]);
-                entry.reference[agg].merge(&group.reference[agg]);
+        let codes = &mut self.scratch.codes;
+        for (src, key) in other.store.keys.iter().enumerate() {
+            codes.clear();
+            codes.extend((0..key.arity()).map(|i| key.code(i)));
+            let dst = self.index.resolve(codes, &mut self.store) as usize;
+            let sides = self
+                .store
+                .target
+                .iter_mut()
+                .zip(&other.store.target)
+                .chain(self.store.reference.iter_mut().zip(&other.store.reference));
+            for (mine, theirs) in sides {
+                mine.merge_slot(dst, theirs, src);
             }
         }
     }
 
     /// Clones the current state into a sorted [`GroupedResult`].
     pub fn snapshot(&self) -> GroupedResult {
-        let mut groups: Vec<GroupEntry> = self
-            .entries
-            .iter()
-            .map(|g| GroupEntry {
-                key: g.key.clone(),
-                target: g.target.clone(),
-                reference: g.reference.clone(),
-            })
+        let groups = (self.store.keys.iter().enumerate())
+            .map(|(slot, key)| self.store.entry(slot, key.clone()))
             .collect();
+        self.result(groups)
+    }
+
+    /// Consumes the aggregation, producing the final sorted result.
+    pub fn finalize(mut self) -> GroupedResult {
+        let keys = std::mem::take(&mut self.store.keys);
+        let groups = (keys.into_iter().enumerate())
+            .map(|(slot, key)| self.store.entry(slot, key))
+            .collect();
+        self.result(groups)
+    }
+
+    fn result(&self, mut groups: Vec<GroupEntry>) -> GroupedResult {
         groups.sort_by(|a, b| a.key.cmp(&b.key));
         GroupedResult {
             group_by: self.query.group_by.clone(),
@@ -741,62 +534,99 @@ impl PartialAggregation {
             groups,
         }
     }
-
-    /// Consumes the aggregation, producing the final sorted result.
-    pub fn finalize(mut self) -> GroupedResult {
-        self.entries.sort_by(|a, b| a.key.cmp(&b.key));
-        GroupedResult {
-            group_by: self.query.group_by,
-            aggregates: self.query.aggregates,
-            groups: self
-                .entries
-                .into_iter()
-                .map(|g| GroupEntry {
-                    key: g.key,
-                    target: g.target,
-                    reference: g.reference,
-                })
-                .collect(),
-        }
-    }
 }
 
-/// Calls `body(row, is_target, is_reference)` for every row selected on
-/// either side, walking the two selection bitmaps one word at a time and
-/// skipping unselected rows with bit tricks. Rows are visited in ascending
-/// order, preserving scalar-path accumulation order.
-#[inline]
-fn for_each_selected(t_bits: &Bitmap, r_bits: &Bitmap, mut body: impl FnMut(usize, bool, bool)) {
-    for (w, (&tw, &rw)) in t_bits.words().iter().zip(r_bits.words()).enumerate() {
+/// Resolves the group slot of every row selected on either side into
+/// `sc.slots`, creating groups in ascending row order.
+fn resolve_slots(
+    batch: &Batch<'_>,
+    group_slots: &[usize],
+    index: &mut GroupIndex,
+    store: &mut GroupStore,
+    sc: &mut Scratch,
+) {
+    let n = batch.len();
+    let row_codes = |i: usize, codes: &mut Vec<u64>| {
+        codes.clear();
+        codes.extend(group_slots.iter().map(|&s| batch.column(s).group_code(i)));
+    };
+    // Column-at-a-time composite radix index, over every row (cheaper than
+    // testing the selection first).
+    if let DenseIndex::Composite { dims, .. } = &index.dense {
+        sc.radix.clear();
+        sc.radix.resize(n, 0);
+        for (d, &s) in dims.iter().zip(group_slots) {
+            let col = batch.column(s);
+            let add = |acc: &mut u64, code: u64| {
+                let sub = sub_slot(code);
+                *acc = if sub < d.base {
+                    *acc + sub * d.stride
+                } else {
+                    *acc | STRAY
+                };
+            };
+            match (col.data, col.validity) {
+                (BatchData::Cat(v), None) => {
+                    for (acc, &c) in sc.radix.iter_mut().zip(v) {
+                        add(acc, c as u64);
+                    }
+                }
+                _ => {
+                    for (i, acc) in sc.radix.iter_mut().enumerate() {
+                        add(acc, col.group_code(i));
+                    }
+                }
+            }
+        }
+    }
+    let single = match (&index.dense, group_slots) {
+        (DenseIndex::Single { .. }, [s]) => Some(*batch.column(*s)),
+        _ => None,
+    };
+    let words = sc.target.words().iter().zip(sc.reference.words());
+    for (w, (&tw, &rw)) in words.enumerate() {
         let mut any = tw | rw;
         while any != 0 {
-            let bit = any.trailing_zeros() as usize;
+            let i = (w << 6) | any.trailing_zeros() as usize;
             any &= any - 1;
-            let i = (w << 6) | bit;
-            body(i, (tw >> bit) & 1 == 1, (rw >> bit) & 1 == 1);
+            let slot = match &mut index.dense {
+                DenseIndex::Composite { slots, .. } if sc.radix[i] & STRAY == 0 => {
+                    dense_entry(&mut slots[sc.radix[i] as usize], store, || {
+                        row_codes(i, &mut sc.codes);
+                        GroupKey::from_codes(&sc.codes)
+                    })
+                }
+                DenseIndex::Single { slots } => {
+                    let gcol = single.expect("single index has one column");
+                    let code = match gcol.data {
+                        BatchData::Cat(v) if gcol.validity.is_none() => v[i] as u64,
+                        _ => gcol.group_code(i),
+                    };
+                    let si = sub_slot(code) as usize;
+                    if si < slots.len() {
+                        dense_entry(&mut slots[si], store, || GroupKey::One(code))
+                    } else {
+                        index.resolve(&[code], store)
+                    }
+                }
+                _ => {
+                    row_codes(i, &mut sc.codes);
+                    index.resolve(&sc.codes, store)
+                }
+            };
+            sc.slots[i] = slot;
         }
     }
 }
 
-/// Executes `query` over the whole table in a single pass, in the default
-/// [`ExecMode`].
+/// Executes `query` over the whole table in a single pass.
 pub fn execute_combined(
     table: &dyn Table,
     query: &CombinedQuery,
     stats: &mut ExecStats,
 ) -> GroupedResult {
-    execute_combined_with_mode(table, query, ExecMode::default(), stats)
-}
-
-/// [`execute_combined`] with an explicit execution mode.
-pub fn execute_combined_with_mode(
-    table: &dyn Table,
-    query: &CombinedQuery,
-    mode: ExecMode,
-    stats: &mut ExecStats,
-) -> GroupedResult {
     stats.queries_issued += 1;
-    let mut agg = PartialAggregation::with_mode(query.clone(), mode);
+    let mut agg = PartialAggregation::new(query.clone());
     agg.update(table, 0..table.num_rows(), stats);
     agg.finalize()
 }
@@ -806,6 +636,7 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use crate::expr::Predicate;
+    use crate::naive::{check, naive_query};
     use crate::spec::AggSpec;
     use seedb_storage::{
         BoxedTable, ColumnDef, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -966,54 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn phased_updates_equal_single_pass() {
-        let t = census_mini(StoreKind::Row);
-        let q = CombinedQuery::single(
-            ColumnId(0),
-            AggSpec::new(AggFunc::Avg, ColumnId(2)),
-            SplitSpec::TargetVsAll(unmarried(t.as_ref())),
-        );
-        let mut stats = ExecStats::default();
-        let one_shot = execute_combined(t.as_ref(), &q, &mut stats);
-
-        let mut partial = PartialAggregation::new(q);
-        let mut stats2 = ExecStats::default();
-        partial.update(t.as_ref(), 0..2, &mut stats2);
-        partial.update(t.as_ref(), 2..4, &mut stats2);
-        partial.update(t.as_ref(), 4..6, &mut stats2);
-        assert_eq!(partial.rows_consumed(), 6);
-        let phased = partial.finalize();
-
-        assert_eq!(one_shot.num_groups(), phased.num_groups());
-        let (t1, r1) = one_shot.value_vectors(0);
-        let (t2, r2) = phased.value_vectors(0);
-        assert_eq!(t1, t2);
-        assert_eq!(r1, r2);
-        assert_eq!(stats2.scan_passes, 3);
-    }
-
-    #[test]
-    fn snapshot_is_consistent_mid_stream() {
-        let t = census_mini(StoreKind::Column);
-        let q = CombinedQuery::single(
-            ColumnId(0),
-            AggSpec::new(AggFunc::Count, ColumnId(2)),
-            SplitSpec::TargetVsAll(Predicate::True),
-        );
-        let mut partial = PartialAggregation::new(q);
-        partial.update(t.as_ref(), 0..3, &mut ExecStats::default());
-        let snap = partial.snapshot();
-        let total: f64 = snap.value_vectors(0).0.iter().sum();
-        assert_eq!(total, 3.0);
-        // Continue after snapshot; snapshot was a true copy.
-        partial.update(t.as_ref(), 3..6, &mut ExecStats::default());
-        let total2: f64 = partial.finalize().value_vectors(0).0.iter().sum();
-        assert_eq!(total2, 6.0);
-        let total_snap: f64 = snap.value_vectors(0).0.iter().sum();
-        assert_eq!(total_snap, 3.0);
-    }
-
-    #[test]
     fn empty_target_selection_yields_empty_target_side() {
         let t = census_mini(StoreKind::Column);
         let q = CombinedQuery::single(
@@ -1029,12 +812,40 @@ mod tests {
         assert!(reference.iter().all(|&x| x > 0.0));
     }
 
+    /// Feeds `small` then `big` into one aggregation planned against
+    /// `small`, and checks it against the reference over both tables:
+    /// `COUNT`/`SUM` of these integral-and-a-half values add exactly.
+    fn check_two_tables(q: &CombinedQuery, small: &dyn Table, big: &dyn Table) {
+        let mut agg = PartialAggregation::new(q.clone());
+        let mut stats = ExecStats::default();
+        agg.update(small, 0..small.num_rows(), &mut stats);
+        agg.update(big, 0..big.num_rows(), &mut stats);
+        let mut want = naive_query(small, q, 0..small.num_rows());
+        for (key, (t, r)) in naive_query(big, q, 0..big.num_rows()) {
+            let add = |a: &mut Vec<Option<f64>>, b: Vec<Option<f64>>| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x = Some(x.unwrap_or(0.0) + y.unwrap_or(0.0));
+                }
+            };
+            match want.get_mut(&key) {
+                Some((wt, wr)) => {
+                    add(wt, t);
+                    add(wr, r);
+                }
+                None => {
+                    want.insert(key, (t, r));
+                }
+            }
+        }
+        check(&agg.finalize(), &want).unwrap();
+    }
+
     #[test]
     fn dense_index_overflow_codes_spill_to_hash() {
         // Plan the dense index against a tiny dictionary, then feed a table
         // whose dictionary codes run past DENSE_CARDINALITY_MAX: the stray
         // codes must spill into the hash map (bounding the dense table's
-        // growth at the cap) while producing exactly the scalar result.
+        // growth at the cap) while producing exactly the reference result.
         let build_with_card = |card: usize| -> BoxedTable {
             let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
             for i in 0..card {
@@ -1045,34 +856,18 @@ mod tests {
         };
         let small = build_with_card(2);
         let big = build_with_card(DENSE_CARDINALITY_MAX + 40);
-
         let q = CombinedQuery::single(
             ColumnId(0),
             AggSpec::new(AggFunc::Count, ColumnId(1)),
             SplitSpec::TargetVsAll(Predicate::True),
         );
-        let run = |mode: crate::ExecMode| -> GroupedResult {
-            let mut agg = PartialAggregation::with_mode(q.clone(), mode);
-            let mut stats = ExecStats::default();
-            agg.update(small.as_ref(), 0..small.num_rows(), &mut stats);
-            agg.update(big.as_ref(), 0..big.num_rows(), &mut stats);
-            agg.finalize()
-        };
-        let vectorized = run(crate::ExecMode::Vectorized);
-        let scalar = run(crate::ExecMode::Scalar);
-        assert_eq!(vectorized.num_groups(), DENSE_CARDINALITY_MAX + 40);
-        assert_eq!(vectorized.num_groups(), scalar.num_groups());
-        for (a, b) in vectorized.groups.iter().zip(&scalar.groups) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.target, b.target);
-        }
+        check_two_tables(&q, small.as_ref(), big.as_ref());
     }
 
     #[test]
-    fn composite_dense_matches_scalar_for_multi_group_by() {
+    fn composite_dense_matches_reference_for_multi_group_by() {
         // sex × marital fits the mixed-radix dense cap easily, so the
-        // vectorized path uses the composite index; results must be
-        // bit-identical to the (hash-only) scalar oracle.
+        // kernel uses the composite index.
         for kind in [StoreKind::Row, StoreKind::Column] {
             let t = census_mini(kind);
             let q = CombinedQuery {
@@ -1084,25 +879,9 @@ mod tests {
                 filter: None,
                 split: SplitSpec::TargetVsComplement(unmarried(t.as_ref())),
             };
-            let vectorized = execute_combined_with_mode(
-                t.as_ref(),
-                &q,
-                crate::ExecMode::Vectorized,
-                &mut ExecStats::default(),
-            );
-            let scalar = execute_combined_with_mode(
-                t.as_ref(),
-                &q,
-                crate::ExecMode::Scalar,
-                &mut ExecStats::default(),
-            );
-            assert_eq!(vectorized.num_groups(), 4);
-            assert_eq!(vectorized.num_groups(), scalar.num_groups());
-            for (a, b) in vectorized.groups.iter().zip(&scalar.groups) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.target, b.target);
-                assert_eq!(a.reference, b.reference);
-            }
+            let got = execute_combined(t.as_ref(), &q, &mut ExecStats::default());
+            assert_eq!(got.num_groups(), 4);
+            check(&got, &naive_query(t.as_ref(), &q, 0..t.num_rows())).unwrap();
         }
     }
 
@@ -1110,8 +889,8 @@ mod tests {
     fn composite_dense_stray_codes_spill_to_hash() {
         // Plan the composite index against tiny dictionaries, then feed a
         // table whose codes exceed the planned radix on both attributes:
-        // the strays must spill to the hash map while matching the scalar
-        // result exactly.
+        // the strays must spill to the hash map while matching the
+        // reference exactly.
         let build = |card_a: usize, card_b: usize| -> BoxedTable {
             let mut b = TableBuilder::new(vec![
                 ColumnDef::dim("a"),
@@ -1129,61 +908,16 @@ mod tests {
             }
             b.build(StoreKind::Column).unwrap()
         };
-        let small = build(2, 2);
-        let big = build(9, 5);
         let q = CombinedQuery {
             group_by: vec![ColumnId(0), ColumnId(1)],
-            aggregates: vec![AggSpec::new(AggFunc::Sum, ColumnId(2))],
+            aggregates: vec![
+                AggSpec::new(AggFunc::Sum, ColumnId(2)),
+                AggSpec::new(AggFunc::Count, ColumnId(2)),
+            ],
             filter: None,
             split: SplitSpec::TargetVsAll(Predicate::True),
         };
-        let run = |mode: crate::ExecMode| -> GroupedResult {
-            let mut agg = PartialAggregation::with_mode(q.clone(), mode);
-            let mut stats = ExecStats::default();
-            agg.update(small.as_ref(), 0..small.num_rows(), &mut stats);
-            agg.update(big.as_ref(), 0..big.num_rows(), &mut stats);
-            agg.finalize()
-        };
-        let vectorized = run(crate::ExecMode::Vectorized);
-        let scalar = run(crate::ExecMode::Scalar);
-        assert_eq!(vectorized.num_groups(), scalar.num_groups());
-        for (a, b) in vectorized.groups.iter().zip(&scalar.groups) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.target, b.target);
-        }
-    }
-
-    #[test]
-    fn merge_of_disjoint_partials_equals_single_pass() {
-        // Split the table into three ranges, aggregate each into its own
-        // partial, merge in order — must equal the one-shot result bitwise,
-        // for both the dense single-dim and composite shapes.
-        for group_by in [vec![ColumnId(0)], vec![ColumnId(0), ColumnId(1)]] {
-            let t = census_mini(StoreKind::Column);
-            let q = CombinedQuery {
-                group_by,
-                aggregates: vec![AggSpec::new(AggFunc::Avg, ColumnId(2))],
-                filter: None,
-                split: SplitSpec::TargetVsAll(unmarried(t.as_ref())),
-            };
-            let one_shot = execute_combined(t.as_ref(), &q, &mut ExecStats::default());
-            let part = |range: Range<usize>| -> PartialAggregation {
-                let mut agg = PartialAggregation::new(q.clone());
-                agg.update(t.as_ref(), range, &mut ExecStats::default());
-                agg
-            };
-            let mut merged = part(0..2);
-            merged.merge(part(2..4));
-            merged.merge(part(4..6));
-            assert_eq!(merged.rows_consumed(), 6);
-            let merged = merged.finalize();
-            assert_eq!(merged.num_groups(), one_shot.num_groups());
-            for (a, b) in merged.groups.iter().zip(&one_shot.groups) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.target, b.target);
-                assert_eq!(a.reference, b.reference);
-            }
-        }
+        check_two_tables(&q, build(2, 2).as_ref(), build(9, 5).as_ref());
     }
 
     #[test]
@@ -1201,25 +935,5 @@ mod tests {
         assert_eq!(empty.rows_consumed(), 6);
         let (target, _) = empty.finalize().value_vectors(0);
         assert_eq!(target, vec![3.0, 3.0]);
-    }
-
-    #[test]
-    fn row_and_column_stores_agree() {
-        let row_t = census_mini(StoreKind::Row);
-        let col_t = census_mini(StoreKind::Column);
-        let q = CombinedQuery {
-            group_by: vec![ColumnId(1)],
-            aggregates: vec![
-                AggSpec::new(AggFunc::Avg, ColumnId(2)),
-                AggSpec::new(AggFunc::Count, ColumnId(2)),
-            ],
-            filter: None,
-            split: SplitSpec::TargetVsComplement(unmarried(row_t.as_ref())),
-        };
-        let a = execute_combined(row_t.as_ref(), &q, &mut ExecStats::default());
-        let b = execute_combined(col_t.as_ref(), &q, &mut ExecStats::default());
-        for agg in 0..2 {
-            assert_eq!(a.value_vectors(agg), b.value_vectors(agg));
-        }
     }
 }

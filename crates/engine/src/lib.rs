@@ -28,13 +28,19 @@
 //! of row ranges and can snapshot its state between ranges, which is exactly
 //! what the phased pruning framework in `seedb-core` needs.
 //!
-//! Execution is also *mode-aware* ([`ExecMode`]): the default **vectorized**
-//! mode drives the storage layer's batched scan API — selection bitmaps
-//! from [`BoundPredicate::eval_batch`], a dense dictionary-direct group
-//! index for single-attribute group-bys, and a composite mixed-radix dense
-//! index for bin-packed multi-GROUP-BY clusters (see
-//! [`DENSE_CARDINALITY_MAX`]) — while the **scalar** mode keeps the
-//! original row-at-a-time path as the bit-identical equivalence oracle.
+//! There is one execution path: a batched kernel over the storage layer's
+//! typed batches — selection bitmaps from [`BoundPredicate::eval_batch`],
+//! group slots resolved once per batch through a dense dictionary-direct
+//! or composite mixed-radix index (see [`DENSE_CARDINALITY_MAX`]), and
+//! aggregate-outer loops over struct-of-arrays state (see [`hashagg`]).
+
+// The naive reference the tests check the kernel against; it is written
+// against the public API, so it names this crate by its package name.
+#[cfg(test)]
+extern crate self as seedb_engine;
+#[cfg(test)]
+#[path = "../tests/naive/mod.rs"]
+mod naive;
 
 pub mod agg;
 pub mod binpack;
@@ -57,9 +63,7 @@ pub use cost::{
 };
 pub use expr::{BoundPredicate, CmpOp, Predicate};
 pub use groupkey::GroupKey;
-pub use hashagg::{
-    execute_combined, execute_combined_with_mode, PartialAggregation, DENSE_CARDINALITY_MAX,
-};
+pub use hashagg::{execute_combined, PartialAggregation, DENSE_CARDINALITY_MAX};
 pub use morsel::{execute_morsels, execute_morsels_traced, DEFAULT_MORSEL_ROWS};
 pub use parallel::{with_pool, BudgetLease, CancelToken, Pool, WorkerBudget, WorkerProbes};
 pub use prune::{contribution_predicate, pruned_scan, zone_match, PrunedScan};
@@ -67,44 +71,6 @@ pub use rollup::rollup;
 pub use seedb_obs::TraceCtx;
 pub use spec::{AggSpec, CombinedQuery, SplitSpec};
 pub use stats::ExecStats;
-
-/// How the engine walks the table: row-at-a-time or in typed batches.
-///
-/// Both modes produce bit-identical results (accumulators are exact, so
-/// neither row order nor partition boundaries can perturb a single bit);
-/// `Vectorized` is the default and is substantially faster on the column
-/// store, where batches are zero-copy slices and group lookups go through
-/// the dense dictionary-direct or composite mixed-radix index (see
-/// [`DENSE_CARDINALITY_MAX`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// Row-at-a-time execution through `Table::scan_range` (the original
-    /// `dyn FnMut(&[Cell])` path; kept as the equivalence oracle).
-    Scalar,
-    /// Batched execution through `Table::scan_batches`: vectorized
-    /// predicate bitmaps and dictionary-direct dense aggregation.
-    #[default]
-    Vectorized,
-}
-
-impl ExecMode {
-    /// Label used in bench output and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecMode::Scalar => "SCALAR",
-            ExecMode::Vectorized => "VECTORIZED",
-        }
-    }
-
-    /// Both modes, for sweeps and equivalence tests.
-    pub const ALL: [ExecMode; 2] = [ExecMode::Scalar, ExecMode::Vectorized];
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Result of a grouped aggregation: one entry per observed group, sorted by
 /// key for deterministic downstream consumption.

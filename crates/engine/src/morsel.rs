@@ -46,8 +46,8 @@ struct WorkerPartial {
 
 /// Executes every query in `queries` over rows `range` of `table`,
 /// morsel-parallel across `pool`, returning one `(result, stats)` pair per
-/// query in input order. The scan's physical shape — execution mode and
-/// morsel size — comes in as a [`ScanShape`], the engine-facing slice of
+/// query in input order. The scan's physical shape — its morsel size —
+/// comes in as a [`ScanShape`], the engine-facing slice of
 /// the planner's physical plan. Each query's scan is planned
 /// independently: partitions whose zone maps prove the query can match no
 /// row are pruned up front (tallied in `partitions_pruned`), and the
@@ -147,7 +147,7 @@ pub fn execute_morsels_traced(
         let mut slots = locals[worker].lock();
         let partial = slots[job].get_or_insert_with(|| WorkerPartial {
             first_item: item,
-            agg: PartialAggregation::with_mode(queries[job].clone(), shape.mode),
+            agg: PartialAggregation::new(queries[job].clone()),
             stats: ExecStats::new(),
         });
         partial
@@ -178,7 +178,7 @@ pub fn execute_morsels_traced(
                 // Empty range, or every partition pruned: an untouched plan
                 // finalizes to the empty result — exactly what a serial
                 // scan of rows that never create a group entry produces.
-                None => PartialAggregation::with_mode(queries[job].clone(), shape.mode),
+                None => PartialAggregation::new(queries[job].clone()),
                 Some(first) => {
                     stats.merge(&first.stats);
                     let mut base = first.agg;
@@ -201,9 +201,9 @@ mod tests {
     use super::*;
     use crate::agg::AggFunc;
     use crate::expr::{CmpOp, Predicate};
+    use crate::naive::{check, naive_query};
     use crate::parallel::with_pool;
     use crate::spec::{AggSpec, SplitSpec};
-    use crate::ExecMode;
     use seedb_storage::{BoxedTable, ColumnDef, ColumnId, StoreKind, TableBuilder, Value};
 
     fn table(rows: usize) -> BoxedTable {
@@ -244,19 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn morsel_execution_matches_serial_bitwise() {
+    fn morsel_execution_matches_naive_reference() {
         let t = table(501);
         let qs = queries(t.as_ref());
-        let serial: Vec<GroupedResult> = qs
+        let want: Vec<_> = qs
             .iter()
-            .map(|q| {
-                crate::execute_combined_with_mode(
-                    t.as_ref(),
-                    q,
-                    ExecMode::Vectorized,
-                    &mut ExecStats::new(),
-                )
-            })
+            .map(|q| naive_query(t.as_ref(), q, 0..t.num_rows()))
             .collect();
         for threads in [1usize, 2, 8] {
             for morsel in [1usize, 7, 64, usize::MAX] {
@@ -266,20 +259,16 @@ mod tests {
                         t.as_ref(),
                         &qs,
                         0..t.num_rows(),
-                        ScanShape::new(ExecMode::Vectorized, morsel),
+                        ScanShape::new(morsel),
                         &CancelToken::none(),
                     )
                 });
-                assert_eq!(got.len(), serial.len());
-                for ((result, stats), want) in got.iter().zip(&serial) {
+                assert_eq!(got.len(), want.len());
+                for ((result, stats), want) in got.iter().zip(&want) {
                     assert_eq!(stats.queries_issued, 1);
                     assert_eq!(stats.rows_scanned, t.num_rows() as u64);
-                    assert_eq!(result.num_groups(), want.num_groups());
-                    for (a, b) in result.groups.iter().zip(&want.groups) {
-                        assert_eq!(a.key, b.key, "threads {threads} morsel {morsel}");
-                        assert_eq!(a.target, b.target, "threads {threads} morsel {morsel}");
-                        assert_eq!(a.reference, b.reference);
-                    }
+                    check(result, want)
+                        .unwrap_or_else(|e| panic!("threads {threads} morsel {morsel}: {e}"));
                 }
             }
         }
@@ -295,7 +284,7 @@ mod tests {
                 t.as_ref(),
                 &qs,
                 5..5,
-                ScanShape::new(ExecMode::Vectorized, 2),
+                ScanShape::new(2),
                 &CancelToken::none(),
             )
         });
@@ -316,49 +305,15 @@ mod tests {
                 t.as_ref(),
                 &[],
                 0..10,
-                ScanShape::new(ExecMode::Vectorized, 4),
+                ScanShape::new(4),
                 &CancelToken::none(),
             )
         });
         assert!(got.is_empty());
     }
 
-    #[test]
-    fn scalar_mode_morsels_agree_with_vectorized() {
-        let t = table(333);
-        let qs = queries(t.as_ref());
-        let a = with_pool(4, |pool| {
-            execute_morsels(
-                pool,
-                t.as_ref(),
-                &qs,
-                0..333,
-                ScanShape::new(ExecMode::Scalar, 50),
-                &CancelToken::none(),
-            )
-        });
-        let b = with_pool(3, |pool| {
-            execute_morsels(
-                pool,
-                t.as_ref(),
-                &qs,
-                0..333,
-                ScanShape::new(ExecMode::Vectorized, 128),
-                &CancelToken::none(),
-            )
-        });
-        for ((ra, _), (rb, _)) in a.iter().zip(&b) {
-            for (ga, gb) in ra.groups.iter().zip(&rb.groups) {
-                assert_eq!(ga.key, gb.key);
-                assert_eq!(ga.target, gb.target);
-                assert_eq!(ga.reference, gb.reference);
-            }
-        }
-    }
-
     /// Partitioned table + selective predicate: pruned parallel execution
-    /// must stay bit-identical to the serial unpartitioned scan while
-    /// actually skipping partitions.
+    /// must match the naive reference while actually skipping partitions.
     #[test]
     fn pruning_skips_partitions_and_stays_bitwise_identical() {
         // Sorted measure so zone intervals are disjoint across partitions.
@@ -369,14 +324,6 @@ mod tests {
                 .unwrap();
         }
         let t = b.build(StoreKind::Column).unwrap();
-        // Unpartitioned twin = serial oracle substrate.
-        let mut b = TableBuilder::new(vec![ColumnDef::dim("d"), ColumnDef::measure("m")]);
-        for i in 0..500 {
-            b.push_row(&[Value::str(format!("d{}", i % 5)), Value::Float(i as f64)])
-                .unwrap();
-        }
-        let flat = b.build(StoreKind::Column).unwrap();
-
         let pred = Predicate::NumCmp {
             col: ColumnId(1),
             op: CmpOp::Lt,
@@ -387,37 +334,25 @@ mod tests {
             AggSpec::new(AggFunc::Avg, ColumnId(1)),
             SplitSpec::TargetOnly(pred),
         );
-        let want = crate::execute_combined_with_mode(
-            flat.as_ref(),
-            &q,
-            ExecMode::Scalar,
-            &mut ExecStats::new(),
-        );
+        let want = naive_query(t.as_ref(), &q, 0..t.num_rows());
         for threads in [1usize, 4] {
-            for mode in [ExecMode::Scalar, ExecMode::Vectorized] {
-                let got = with_pool(threads, |pool| {
-                    execute_morsels(
-                        pool,
-                        t.as_ref(),
-                        std::slice::from_ref(&q),
-                        0..t.num_rows(),
-                        ScanShape::new(mode, 64),
-                        &CancelToken::none(),
-                    )
-                });
-                let (result, stats) = &got[0];
-                // 500 rows at 64/partition = 8 partitions; rows < 100 live
-                // in the first two (0..64, 64..128).
-                assert_eq!(stats.partitions_scanned, 2);
-                assert_eq!(stats.partitions_pruned, 6);
-                assert_eq!(stats.rows_scanned, 128);
-                assert_eq!(result.num_groups(), want.num_groups());
-                for (a, b) in result.groups.iter().zip(&want.groups) {
-                    assert_eq!(a.key, b.key);
-                    assert_eq!(a.target, b.target);
-                    assert_eq!(a.reference, b.reference);
-                }
-            }
+            let got = with_pool(threads, |pool| {
+                execute_morsels(
+                    pool,
+                    t.as_ref(),
+                    std::slice::from_ref(&q),
+                    0..t.num_rows(),
+                    ScanShape::new(64),
+                    &CancelToken::none(),
+                )
+            });
+            let (result, stats) = &got[0];
+            // 500 rows at 64/partition = 8 partitions; rows < 100 live
+            // in the first two (0..64, 64..128).
+            assert_eq!(stats.partitions_scanned, 2);
+            assert_eq!(stats.partitions_pruned, 6);
+            assert_eq!(stats.rows_scanned, 128);
+            check(result, &want).unwrap();
         }
     }
 
@@ -436,7 +371,7 @@ mod tests {
                     t.as_ref(),
                     &qs,
                     0..t.num_rows(),
-                    ScanShape::new(ExecMode::Vectorized, 16),
+                    ScanShape::new(16),
                     &expired,
                 )
             });
@@ -474,7 +409,7 @@ mod tests {
                 t.as_ref(),
                 std::slice::from_ref(&q),
                 0..t.num_rows(),
-                ScanShape::new(ExecMode::Vectorized, 4),
+                ScanShape::new(4),
                 &CancelToken::none(),
             )
         });

@@ -1,8 +1,8 @@
 //! Zone-map partition pruning: skip whole segments before the morsel scan.
 //!
 //! A partition may be skipped for a query exactly when **no row in it can
-//! contribute to the result**. The hash aggregation paths (scalar and
-//! vectorized alike) create group entries only for rows that pass the
+//! contribute to the result**. The aggregation kernel creates group
+//! entries only for rows that pass the
 //! query's filter *and* land on at least one side of the split, so the
 //! *contribution predicate* of a [`CombinedQuery`] is
 //!

@@ -2,16 +2,20 @@
 //! optimization must be *result-preserving*. We generate random tables and
 //! random view sets, then check that
 //!
-//! 1. combined multi-aggregate queries ≡ separate per-aggregate queries,
-//! 2. multi-GROUP-BY queries + rollup ≡ direct single-attribute queries,
+//! 1. combined multi-aggregate queries ≡ the naive reference of each
+//!    per-aggregate query, bit for bit,
+//! 2. multi-GROUP-BY queries + rollup ≡ the naive reference of the direct
+//!    single-attribute query, bit for bit,
 //! 3. combined target/reference execution ≡ two separate `TargetOnly` runs,
-//! 4. phased (partitioned) execution ≡ one-shot execution,
+//! 4. phased (partitioned) execution ≡ the naive reference,
 //! 5. ROW and COL layouts agree.
+
+mod naive;
 
 use proptest::prelude::*;
 use seedb_engine::{
-    execute_combined, rollup, AggFunc, AggSpec, CombinedQuery, ExecStats, GroupedResult,
-    PartialAggregation, Predicate, SplitSpec,
+    execute_combined, rollup, AggFunc, AggSpec, CombinedQuery, ExecStats, GroupEntry,
+    GroupedResult, PartialAggregation, Predicate, SplitSpec,
 };
 use seedb_storage::{
     BoxedTable, ColumnDef, ColumnId, ColumnRole, ColumnType, StoreKind, TableBuilder, Value,
@@ -77,7 +81,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn combined_aggregates_equal_separate_queries(ds in arb_dataset()) {
+    fn combined_aggregates_match_reference(ds in arb_dataset()) {
         let t = build(&ds, StoreKind::Column);
         let split = SplitSpec::TargetVsAll(target_pred(t.as_ref()));
         let combined = CombinedQuery {
@@ -93,16 +97,27 @@ proptest! {
                 AggSpec::new(f, ColumnId(3)),
                 split.clone(),
             );
-            let alone = execute_combined(t.as_ref(), &single, &mut ExecStats::new());
-            prop_assert!(
-                vectors_close(&merged.value_vectors(i), &alone.value_vectors(0)),
-                "aggregate {f} diverged"
-            );
+            let want = naive::naive_query(t.as_ref(), &single, 0..t.num_rows());
+            let got = GroupedResult {
+                group_by: merged.group_by.clone(),
+                aggregates: vec![merged.aggregates[i]],
+                groups: merged
+                    .groups
+                    .iter()
+                    .map(|g| GroupEntry {
+                        key: g.key.clone(),
+                        target: vec![g.target[i].clone()],
+                        reference: vec![g.reference[i].clone()],
+                    })
+                    .collect(),
+            };
+            let checked = naive::check(&got, &want);
+            prop_assert!(checked.is_ok(), "aggregate {f}: {}", checked.unwrap_err());
         }
     }
 
     #[test]
-    fn multi_group_by_rollup_equals_direct(ds in arb_dataset()) {
+    fn multi_group_by_rollup_matches_reference(ds in arb_dataset()) {
         let t = build(&ds, StoreKind::Column);
         let split = SplitSpec::TargetVsComplement(target_pred(t.as_ref()));
         let aggs = vec![
@@ -118,23 +133,15 @@ proptest! {
         let multi_result = execute_combined(t.as_ref(), &multi, &mut ExecStats::new());
         for (pos, dim) in [(0usize, 1u32), (1, 2)] {
             let rolled = rollup(&multi_result, pos);
-            let direct = execute_combined(
-                t.as_ref(),
-                &CombinedQuery {
-                    group_by: vec![ColumnId(dim)],
-                    aggregates: aggs.clone(),
-                    filter: None,
-                    split: split.clone(),
-                },
-                &mut ExecStats::new(),
-            );
-            prop_assert_eq!(rolled.num_groups(), direct.num_groups());
-            for agg in 0..aggs.len() {
-                prop_assert!(
-                    vectors_close(&rolled.value_vectors(agg), &direct.value_vectors(agg)),
-                    "rollup diverged on dim {} agg {}", dim, agg
-                );
-            }
+            let direct = CombinedQuery {
+                group_by: vec![ColumnId(dim)],
+                aggregates: aggs.clone(),
+                filter: None,
+                split: split.clone(),
+            };
+            let want = naive::naive_query(t.as_ref(), &direct, 0..t.num_rows());
+            let checked = naive::check(&rolled, &want);
+            prop_assert!(checked.is_ok(), "rollup on dim {dim}: {}", checked.unwrap_err());
         }
     }
 
@@ -186,26 +193,23 @@ proptest! {
     }
 
     #[test]
-    fn phased_execution_equals_one_shot(ds in arb_dataset(), phases in 1usize..8) {
+    fn phased_execution_matches_reference(ds in arb_dataset(), phases in 1usize..8) {
         let t = build(&ds, StoreKind::Row);
         let q = CombinedQuery::single(
             ColumnId(2),
             AggSpec::new(AggFunc::Avg, ColumnId(3)),
             SplitSpec::TargetVsAll(target_pred(t.as_ref())),
         );
-        let one_shot = execute_combined(t.as_ref(), &q, &mut ExecStats::new());
-
         let n = t.num_rows();
-        let mut partial = PartialAggregation::new(q);
+        let mut partial = PartialAggregation::new(q.clone());
         let mut stats = ExecStats::new();
         for i in 0..phases {
             let lo = n * i / phases;
             let hi = n * (i + 1) / phases;
             partial.update(t.as_ref(), lo..hi, &mut stats);
         }
-        let phased = partial.finalize();
-        prop_assert_eq!(one_shot.num_groups(), phased.num_groups());
-        prop_assert!(vectors_close(&one_shot.value_vectors(0), &phased.value_vectors(0)));
+        let checked = naive::check(&partial.finalize(), &naive::naive_query(t.as_ref(), &q, 0..n));
+        prop_assert!(checked.is_ok(), "{} phases: {}", phases, checked.unwrap_err());
         prop_assert_eq!(stats.rows_scanned, n as u64);
     }
 

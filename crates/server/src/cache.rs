@@ -161,10 +161,15 @@ impl RecCache {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // Evicted entries are freed after the lock is released: dropping a
+        // large partial frees hundreds of allocations, and readers wait on
+        // this lock.
+        let mut evicted = Vec::new();
         let mut inner = self.inner.lock();
         if let Some(old) = inner.map.remove(key) {
             inner.recency.remove(&old.tick);
             inner.bytes -= old.size;
+            evicted.push(old);
         }
         while inner.bytes + size > self.budget {
             let Some((&oldest, _)) = inner.recency.iter().next() else {
@@ -181,6 +186,7 @@ impl RecCache {
             };
             inner.bytes -= victim.size;
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted.push(victim);
         }
         inner.clock += 1;
         let tick = inner.clock;
@@ -188,6 +194,8 @@ impl RecCache {
         inner.map.insert(key.to_owned(), Slot { value, size, tick });
         inner.bytes += size;
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
+        drop(inner);
+        drop(evicted);
     }
 
     /// Drops every entry (counters are kept).

@@ -1448,7 +1448,6 @@ mod tests {
         let ex = j1.get("explain").unwrap();
         let plan = ex.get("plan").unwrap();
         assert!(plan.get("workers").unwrap().as_u64().unwrap() >= 1);
-        assert_eq!(plan.get("mode").unwrap().as_str(), Some("VECTORIZED"));
         assert!(plan.get("index").unwrap().as_str().is_some());
         assert!(plan.get("estimated_rows").unwrap().as_u64().is_some());
         let times = ex.get("phase_times_us").unwrap().as_arr().unwrap();
@@ -1486,6 +1485,37 @@ mod tests {
             .as_arr()
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn explain_reports_each_shared_aggregate_once_per_cluster() {
+        // BANK's dimensions bin-pack into multi-dimension clusters, and
+        // every dimension has the same measures: a cluster computes each
+        // (function, measure) once for all of its dimensions, so its
+        // aggregate count is the distinct pair count, views / dims.
+        let s = state();
+        let body = r#"{"dataset": "BANK", "k": 3, "agg": ["AVG", "SUM"], "explain": true}"#;
+        let j = Json::parse(&post(&s, "/recommend", body).body).unwrap();
+        let plan = j.get("explain").unwrap().get("plan").unwrap();
+        let clusters = plan.get("clusters").unwrap().as_arr().unwrap();
+        let field = |c: &Json, name: &str| c.get(name).unwrap().as_u64().unwrap();
+        let mut packed = 0;
+        let mut total_views = 0;
+        for c in clusters {
+            let (dims, views, aggregates) =
+                (field(c, "dims"), field(c, "views"), field(c, "aggregates"));
+            assert_eq!(aggregates * dims, views, "{c:?}");
+            assert_eq!(aggregates % 2, 0, "AVG and SUM of each measure: {c:?}");
+            if dims > 1 {
+                packed += 1;
+                assert!(aggregates < views, "{c:?}");
+            }
+            total_views += views;
+        }
+        assert!(packed > 0, "BANK packs dimensions: {plan:?}");
+        assert_eq!(plan.get("packed").unwrap().as_bool(), Some(true));
+        let all = j.get("all_utilities").unwrap().as_arr().unwrap().len();
+        assert_eq!(total_views as usize, all, "every view sits in one cluster");
     }
 
     #[test]

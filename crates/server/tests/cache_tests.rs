@@ -169,7 +169,6 @@ proptest! {
 
         // Execution-shape changes must NOT move it.
         let mut same = cfg.clone();
-        same.engine_mode = seedb_core::ExecMode::Scalar;
         same.sharing.parallelism = Knob::Fixed(5);
         same.sharing.morsel_rows = Knob::Fixed(3);
         same.sharing.combine_group_bys = false;

@@ -36,8 +36,8 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
@@ -152,7 +152,7 @@ impl Json {
                 }
                 out.push('"');
             }
-            Json::Arr(_) | Json::Obj(_) => unreachable!("containers handled by caller"),
+            Json::Arr(_) | Json::Obj(_) => self.write_compact(out),
         }
     }
 
@@ -234,14 +234,13 @@ impl Json {
 /// network-facing parser must never turn into a process abort.
 const MAX_DEPTH: usize = 128;
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
+fn skip_ws(text: &str, pos: &mut usize) {
+    let rest = text.as_bytes().get(*pos..).unwrap_or_default();
+    *pos += rest.iter().take_while(|b| b.is_ascii_whitespace()).count();
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, token: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&token) {
+fn expect(text: &str, pos: &mut usize, token: u8) -> Result<(), String> {
+    if text.as_bytes().get(*pos) == Some(&token) {
         *pos += 1;
         Ok(())
     } else {
@@ -249,28 +248,29 @@ fn expect(bytes: &[u8], pos: &mut usize, token: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
     }
-    skip_ws(bytes, pos);
+    skip_ws(text, pos);
+    let bytes = text.as_bytes();
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'n') => parse_keyword(text, pos, "null", Json::Null),
+        Some(b't') => parse_keyword(text, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_keyword(text, pos, "false", Json::Bool(false)),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
+            skip_ws(text, pos);
             if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
+                items.push(parse_value(text, pos, depth + 1)?);
+                skip_ws(text, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b']') => {
@@ -284,18 +284,18 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
-            skip_ws(bytes, pos);
+            skip_ws(text, pos);
             if bytes.get(*pos) == Some(&b'}') {
                 *pos += 1;
                 return Ok(Json::Obj(fields));
             }
             loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
+                skip_ws(text, pos);
+                let key = parse_string(text, pos)?;
+                skip_ws(text, pos);
+                expect(text, pos, b':')?;
+                fields.push((key, parse_value(text, pos, depth + 1)?));
+                skip_ws(text, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
                     Some(b'}') => {
@@ -308,13 +308,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         }
         Some(_) => {
             let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
+            let rest = bytes.get(start..).unwrap_or_default();
+            *pos += rest
+                .iter()
+                .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+                .count();
+            text.get(start..*pos)
                 .and_then(|s| s.parse::<f64>().ok())
                 .map(Json::Num)
                 .ok_or_else(|| format!("invalid number at byte {start}"))
@@ -322,13 +321,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    keyword: &str,
-    value: Json,
-) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(keyword.as_bytes()) {
+fn parse_keyword(text: &str, pos: &mut usize, keyword: &str, value: Json) -> Result<Json, String> {
+    if text
+        .get(*pos..)
+        .is_some_and(|rest| rest.starts_with(keyword))
+    {
         *pos += keyword.len();
         Ok(value)
     } else {
@@ -336,45 +333,52 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
+/// Parses a string literal in one pass: each run of unescaped bytes is
+/// copied as one slice. Runs end only at ASCII `"` or `\`, which never
+/// fall inside a multi-byte character, so every run is valid UTF-8.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    expect(text, pos, b'"')?;
+    let bytes = text.as_bytes();
     let mut out = String::new();
     loop {
+        let start = *pos;
+        let rest = bytes.get(start..).unwrap_or_default();
+        *pos += rest
+            .iter()
+            .take_while(|&&b| b != b'"' && b != b'\\')
+            .count();
+        out.push_str(text.get(start..*pos).unwrap_or_default());
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_owned()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash escape.
                 *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
+                let escaped = match bytes.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    Some(b'r') => '\r',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
                     Some(b'u') => {
-                        let hex = bytes
+                        let c = text
                             .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .and_then(char::from_u32)
                             .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
-                        out.push(hex);
                         *pos += 4;
+                        c
                     }
                     other => return Err(format!("bad escape {other:?}")),
-                }
+                };
+                out.push(escaped);
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }
